@@ -1,12 +1,14 @@
 #include "server/daemon.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -83,21 +85,10 @@ DaemonOptions ApplyMemoryBudgets(DaemonOptions options) {
   return options;
 }
 
-// RAII registration with the disconnect watcher.
-class DisconnectWatch {
- public:
-  DisconnectWatch(Daemon* daemon, void (Daemon::*watch)(int, CancelToken*),
-                  void (Daemon::*unwatch)(int), int fd, CancelToken* token)
-      : daemon_(daemon), unwatch_(unwatch), fd_(fd) {
-    (daemon_->*watch)(fd_, token);
-  }
-  ~DisconnectWatch() { (daemon_->*unwatch_)(fd_); }
-
- private:
-  Daemon* daemon_;
-  void (Daemon::*unwatch_)(int);
-  int fd_;
-};
+// Admission-gated commands: the ones that can run long.
+bool IsGated(const std::string& command) {
+  return command == "count" || command == "ingest";
+}
 
 }  // namespace
 
@@ -108,11 +99,14 @@ Daemon::Daemon(DaemonOptions options)
 Daemon::~Daemon() { Stop(); }
 
 bool Daemon::Start(std::string* error) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    if (error != nullptr) *error = std::string("socket: ") + std::strerror(errno);
+  auto fail = [&](std::string message) {
+    if (error != nullptr) *error = std::move(message);
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
     return false;
-  }
+  };
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) return fail(std::string("socket: ") + std::strerror(errno));
   int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -120,33 +114,28 @@ bool Daemon::Start(std::string* error) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
   if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    if (error != nullptr) *error = "bad listen address: " + options_.host;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
+    return fail("bad listen address: " + options_.host);
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    if (error != nullptr) *error = std::string("bind: ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
+    return fail(std::string("bind: ") + std::strerror(errno));
   }
   if (::listen(listen_fd_, 128) != 0) {
-    if (error != nullptr) *error = std::string("listen: ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
+    return fail(std::string("listen: ") + std::strerror(errno));
   }
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
   port_ = static_cast<int>(ntohs(bound.sin_port));
+  // Nonblocking, so the loop drains the accept queue without stalling.
+  ::fcntl(listen_fd_, F_SETFL, ::fcntl(listen_fd_, F_GETFL) | O_NONBLOCK);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) return fail(std::string("eventfd: ") + std::strerror(errno));
 
   start_time_ = MonotonicNow();
   started_at_ = WallTimestamp();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  watch_thread_ = std::thread([this] { WatchLoop(); });
+  workers_ = std::make_unique<ThreadPool>(options_.max_inflight + 1);
+  loop_thread_ = std::thread([this] { Loop(); });
   return true;
 }
 
@@ -156,44 +145,15 @@ void Daemon::Wait() {
 }
 
 void Daemon::Stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) {
-    // A second Stop still waits for the first to have joined; joining
-    // happens below only on the first call, so just signal waiters.
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_cv_.notify_all();
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_requested_ = true;
     stop_cv_.notify_all();
-    // Kick every open connection out of its blocking recv. The fds stay
-    // owned (and closed) by their connection threads.
-    for (int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  {
-    // Cancel inflight executions directly; faster than waiting for the
-    // watcher to notice the shut-down sockets.
-    std::lock_guard<std::mutex> lock(watch_mu_);
-    for (auto& [fd, token] : watched_) token->Cancel();
-  }
-  admission_cv_.notify_all();
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (watch_thread_.joinable()) watch_thread_.join();
-  std::vector<std::thread> connections;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    connections.swap(connection_threads_);
-  }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
-  }
+  if (stopping_.exchange(true) || !loop_thread_.joinable()) return;
+  Wake();
+  loop_thread_.join();
+  ::close(wake_fd_);
 }
 
 DaemonStats Daemon::stats() const {
@@ -201,17 +161,71 @@ DaemonStats Daemon::stats() const {
   return stats_;
 }
 
-void Daemon::AcceptLoop() {
+void Daemon::Bump(std::uint64_t DaemonStats::*counter) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++(stats_.*counter);
+}
+
+void Daemon::Loop() {
+  std::vector<pollfd> polled;
+  while (!stopping_.load()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.connections_open = connections_.size();
+      stats_.inflight = inflight_;
+      stats_.queued = queue_.size();
+    }
+    polled.clear();
+    polled.push_back({wake_fd_, POLLIN, 0});
+    // Out of fds, the listener stays readable: it is retried every 100 ms
+    // instead of polled (and spun on).
+    polled.push_back({listen_fd_, short(accept_paused_ ? 0 : POLLIN), 0});
+    for (const auto& [fd, conn] : connections_) {
+      // A busy connection is watched for the hang-up alone: the protocol
+      // is request-response, so bytes arriving mid-request wait their turn.
+      if (!conn.busy) {
+        polled.push_back({fd, POLLIN, 0});
+      } else if (!conn.hung_up) {
+        polled.push_back({fd, POLLRDHUP, 0});
+      }
+    }
+    // EINTR leaves every revents zero: the pass below is a no-op.
+    if (::poll(polled.data(), polled.size(), accept_paused_ ? 100 : -1) < 0 &&
+        errno != EINTR) {
+      break;
+    }
+    // Connections first: Reap and Accept may close and reuse fds.
+    for (std::size_t i = 2; i < polled.size(); ++i) {
+      if (polled[i].revents == 0) continue;
+      Connection& conn = connections_.at(polled[i].fd);
+      if (conn.busy) {
+        conn.hung_up = true;
+        conn.token->Cancel();
+      } else {
+        Receive(conn);
+      }
+    }
+    if (polled[0].revents != 0) Reap();
+    if (polled[1].revents != 0 || accept_paused_) Accept();
+  }
+  // Stopping: cancel what waits or runs, kick workers out of send, and let
+  // every request already handed out run to its (cancelled) end.
+  for (auto& [fd, conn] : connections_) {
+    if (conn.busy) conn.token->Cancel();
+    ::shutdown(fd, SHUT_RDWR);
+  }
+  workers_.reset();
+  for (auto& [fd, conn] : connections_) ::close(fd);
+  ::close(listen_fd_);
+}
+
+void Daemon::Accept() {
   for (;;) {
     int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed by Stop (or fatal; either way, stop)
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
-    }
+    if (fd < 0 && (errno == EINTR || errno == ECONNABORTED)) continue;
+    // Anything but a drained queue (EMFILE, ENFILE, ENOBUFS, ...) pauses.
+    accept_paused_ = fd < 0 && errno != EAGAIN && errno != EWOULDBLOCK;
+    if (fd < 0) return;
     if (SHARPCQ_FAILPOINT("daemon.accept") != FailpointAction::kNone) {
       ::close(fd);  // injected accept failure: drop, keep listening
       continue;
@@ -220,105 +234,141 @@ void Daemon::AcceptLoop() {
     // can couple small frames to the peer's delayed ACK.
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.connections_accepted;
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    connections_[fd].fd = fd;
+    Bump(&DaemonStats::connections_accepted);
   }
 }
 
-void Daemon::WatchLoop() {
-  while (!stopping_.load()) {
-    {
-      std::lock_guard<std::mutex> lock(watch_mu_);
-      for (auto& [fd, token] : watched_) {
-        // The protocol is request-response, so a well-behaved client sends
-        // nothing while its request executes; readable data here is either
-        // EOF (client gone — cancel) or junk (ignored, the connection loop
-        // deals with it after the response).
-        char byte;
-        ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
-        if (n == 0) {
-          token->Cancel();
-        } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                   errno != EINTR) {
-          token->Cancel();
-        }
-      }
-    }
-    std::this_thread::sleep_for(options_.watch_interval);
+void Daemon::Receive(Connection& conn) {
+  char chunk[64 << 10];
+  const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+  if (n > 0) {
+    conn.in.append(chunk, static_cast<std::size_t>(n));
+    NextFrame(conn);
+  } else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK &&
+                        errno != EINTR)) {
+    CloseConnection(conn.fd);  // EOF, mid-frame or not, or a socket error
   }
 }
 
-void Daemon::ServeConnection(int fd) {
-  for (;;) {
-    std::string payload;
-    std::string error;
-    if (SHARPCQ_FAILPOINT("daemon.recv") != FailpointAction::kNone) break;
-    FrameStatus status =
-        RecvFrame(fd, options_.max_frame_bytes, &payload, &error);
-    if (status == FrameStatus::kClosed || status == FrameStatus::kError) break;
-    if (status == FrameStatus::kTooLarge) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.frames_too_large;
-        ++stats_.responses_error;
-      }
-      // The oversized payload was never read, so the stream cannot be
-      // resynchronized: answer and drop the connection.
-      SendFrame(fd, SerializeResponse(
-                        ErrorResponse(wire::kFrameTooLarge, error)),
-                &error);
-      break;
-    }
-
-    Response response;
-    std::optional<Request> request = ParseRequest(payload, &error);
-    bool is_shutdown = false;
-    if (!request.has_value()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.requests;
-      ++stats_.malformed_requests;
-      response = ErrorResponse(wire::kBadRequest, error);
+void Daemon::NextFrame(Connection& conn) {
+  const std::optional<std::uint32_t> size = FrameHeaderSize(conn.in);
+  if (!size.has_value()) return;
+  const std::size_t frame_bytes = kFrameHeaderBytes + *size;
+  Job job;
+  job.conn = &conn;
+  if (*size > options_.max_frame_bytes) {
+    job.too_large = true;
+    job.error = FrameTooLargeError(*size, options_.max_frame_bytes);
+  } else if (conn.in.size() < frame_bytes) {
+    conn.in.reserve(frame_bytes);
+    return;
+  } else {
+    job.request = ParseRequest(
+        std::string_view(conn.in).substr(kFrameHeaderBytes, *size), &job.error);
+    conn.in.erase(0, frame_bytes);
+  }
+  conn.busy = true;
+  conn.token.emplace();
+  if (job.request.has_value() && IsGated(job.request->command)) {
+    if (inflight_ < options_.max_inflight) {
+      ++inflight_;
+      conn.admitted = true;
+    } else if (queue_.size() < options_.max_queued) {
+      queue_.push_back(std::move(job));
+      return;
     } else {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.requests;
-      }
-      is_shutdown = request->command == "shutdown";
-      response = Dispatch(*request, fd);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (response.ok) {
-        ++stats_.responses_ok;
-      } else {
-        ++stats_.responses_error;
-      }
-    }
-    if (SHARPCQ_FAILPOINT("daemon.send") != FailpointAction::kNone) break;
-    if (!SendFrame(fd, SerializeResponse(response), &error)) break;
-    if (is_shutdown) {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_requested_ = true;
-      stop_cv_.notify_all();
-      // Keep serving until the client hangs up or Stop() shuts the socket;
-      // Stop() itself must come from the Wait() caller (joining this
-      // thread from inside itself would deadlock).
+      job.overloaded = true;
     }
   }
+  Submit(std::move(job));
+}
+
+void Daemon::Submit(Job job) {
+  workers_->Submit([this, job = std::move(job)]() mutable {
+    Serve(std::move(job));
+  });
+}
+
+void Daemon::Reap() {
+  std::uint64_t wakeups;  // a failed read leaves the eventfd readable
+  if (::read(wake_fd_, &wakeups, sizeof(wakeups)) < 0) return;
+  std::vector<Connection*> done;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    connection_fds_.erase(
-        std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
-        connection_fds_.end());
+    std::lock_guard<std::mutex> lock(done_mu_);
+    done.swap(done_);
   }
+  for (Connection* conn : done) {
+    if (conn->admitted && !queue_.empty()) {
+      // The freed slot passes straight to the oldest waiting request.
+      queue_.front().conn->admitted = true;
+      Submit(std::move(queue_.front()));
+      queue_.pop_front();
+    } else if (conn->admitted) {
+      --inflight_;
+    }
+    conn->busy = conn->admitted = false;
+    if (conn->drop || conn->hung_up) {
+      CloseConnection(conn->fd);
+    } else {
+      NextFrame(*conn);  // a frame may already be buffered
+    }
+  }
+}
+
+void Daemon::CloseConnection(int fd) {
+  connections_.erase(fd);
   ::close(fd);
 }
 
-Response Daemon::Dispatch(const Request& request, int fd) {
+void Daemon::Wake() {
+  const std::uint64_t one = 1;
+  while (::write(wake_fd_, &one, sizeof(one)) < 0 && errno == EINTR) {
+  }
+}
+
+void Daemon::Serve(Job job) {
+  Connection& conn = *job.conn;
+  conn.drop = true;  // unless a response goes out below
+  if (SHARPCQ_FAILPOINT("daemon.recv") == FailpointAction::kNone) {
+    const bool parsed = job.request.has_value();
+    const Response response =
+        job.too_large ? ErrorResponse(wire::kFrameTooLarge, job.error)
+        : parsed ? Dispatch(*job.request, job.overloaded, &*conn.token)
+                 : ErrorResponse(wire::kBadRequest, job.error);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (job.too_large) {
+        ++stats_.frames_too_large;
+      } else if (!parsed) {
+        ++stats_.requests;
+        ++stats_.malformed_requests;
+      }
+      ++(response.ok ? stats_.responses_ok : stats_.responses_error);
+    }
+    const bool sent =
+        SHARPCQ_FAILPOINT("daemon.send") == FailpointAction::kNone &&
+        SendFrame(conn.fd, SerializeResponse(response), nullptr);
+    conn.drop = !sent || job.too_large;
+    if (sent && parsed && job.request->command == "shutdown") {
+      // Keep serving: Stop() itself must come from the Wait() caller.
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_requested_ = true;
+      stop_cv_.notify_all();
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(done_mu_);
+    done_.push_back(&conn);
+  }
+  Wake();
+}
+
+Response Daemon::Dispatch(const Request& request, bool overloaded,
+                          CancelToken* token) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.requests;
     if (request.command == "count") ++stats_.cmd_count;
     else if (request.command == "ingest") ++stats_.cmd_ingest;
     else if (request.command == "status") ++stats_.cmd_status;
@@ -332,13 +382,9 @@ Response Daemon::Dispatch(const Request& request, int fd) {
   if (request.command == "inspect") return HandleInspect(request);
   if (request.command == "metrics") return HandleMetrics();
   if (request.command == "shutdown") return OkResponse();
-  if (request.command == "count" || request.command == "ingest") {
-    if (!EnterAdmission()) {
-      if (stopping_.load()) {
-        return ErrorResponse(wire::kShuttingDown, "daemon is shutting down");
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected_overload;
+  if (IsGated(request.command)) {
+    if (overloaded) {
+      Bump(&DaemonStats::rejected_overload);
       return ErrorResponse(
           wire::kOverloaded,
           "admission queue full (" + std::to_string(options_.max_inflight) +
@@ -346,9 +392,9 @@ Response Daemon::Dispatch(const Request& request, int fd) {
               " queued)");
     }
     const MonotonicClock::time_point start = MonotonicNow();
-    Response response = request.command == "count" ? HandleCount(request, fd)
-                                                   : HandleIngest(request);
-    LeaveAdmission();
+    Response response = request.command == "count"
+                            ? HandleCount(request, token)
+                            : HandleIngest(request);
     (request.command == "count" ? count_latency_ : ingest_latency_)
         .Record(ElapsedMs(start));
     return response;
@@ -357,42 +403,7 @@ Response Daemon::Dispatch(const Request& request, int fd) {
                        "unknown command: " + request.command);
 }
 
-bool Daemon::EnterAdmission() {
-  std::unique_lock<std::mutex> lock(admission_mu_);
-  if (inflight_ < options_.max_inflight) {
-    ++inflight_;
-    return true;
-  }
-  if (queued_ >= options_.max_queued) return false;
-  ++queued_;
-  admission_cv_.wait(lock, [this] {
-    return stopping_.load() || inflight_ < options_.max_inflight;
-  });
-  --queued_;
-  if (stopping_.load()) return false;
-  ++inflight_;
-  return true;
-}
-
-void Daemon::LeaveAdmission() {
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    --inflight_;
-  }
-  admission_cv_.notify_one();
-}
-
-void Daemon::WatchDisconnect(int fd, CancelToken* token) {
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  watched_[fd] = token;
-}
-
-void Daemon::UnwatchDisconnect(int fd) {
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  watched_.erase(fd);
-}
-
-Response Daemon::HandleCount(const Request& request, int fd) {
+Response Daemon::HandleCount(const Request& request, CancelToken* token) {
   const std::string* db_name = request.Arg("db");
   if (db_name == nullptr || !ValidDbName(*db_name)) {
     return ErrorResponse(wire::kBadRequest, "count requires db=<name>");
@@ -421,7 +432,6 @@ Response Daemon::HandleCount(const Request& request, int fd) {
       ParseQuery(request.body, &parse_dict, &error);
   if (!query.has_value()) return ErrorResponse(wire::kParseError, error);
 
-  CancelToken token;
   std::chrono::milliseconds deadline = options_.default_deadline;
   if (const std::string* arg = request.Arg("deadline_ms"); arg != nullptr) {
     char* end = nullptr;
@@ -431,7 +441,7 @@ Response Daemon::HandleCount(const Request& request, int fd) {
     }
     deadline = std::chrono::milliseconds(ms);
   }
-  if (deadline.count() > 0) token.SetDeadlineAfter(deadline);
+  if (deadline.count() > 0) token->SetDeadlineAfter(deadline);
 
   // trace=1: record the span tree and return it as the response body.
   std::optional<Trace> trace;
@@ -440,34 +450,21 @@ Response Daemon::HandleCount(const Request& request, int fd) {
     trace.emplace();
   }
 
-  CountResult result;
-  {
-    DisconnectWatch watch(this, &Daemon::WatchDisconnect,
-                          &Daemon::UnwatchDisconnect, fd, &token);
-    result = entry->engine->Count(*query, *entry->db, *planner, &token,
-                                  trace.has_value() ? &*trace : nullptr);
-  }
+  CountResult result =
+      entry->engine->Count(*query, *entry->db, *planner, token,
+                           trace.has_value() ? &*trace : nullptr);
 
   Response response;
   if (result.status == CountStatus::kDeadlineExceeded) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.deadline_exceeded;
-    }
+    Bump(&DaemonStats::deadline_exceeded);
     response = ErrorResponse(wire::kDeadlineExceeded,
                              "deadline of " + std::to_string(deadline.count()) +
                                  "ms expired during execution");
   } else if (result.status == CountStatus::kCancelled) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.cancelled_disconnect;
-    }
+    Bump(&DaemonStats::cancelled_disconnect);
     response = ErrorResponse(wire::kCancelled, "request cancelled");
   } else if (result.status == CountStatus::kResourceExhausted) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.resource_exhausted;
-    }
+    Bump(&DaemonStats::resource_exhausted);
     response = ErrorResponse(
         wire::kResourceExhausted,
         "memory budget exhausted (refused an allocation of " +
@@ -548,38 +545,30 @@ Response Daemon::HandleIngest(const Request& request) {
 
 Response Daemon::HandleStatus() {
   Response response = OkResponse();
-  DaemonStats snapshot = stats();
-  std::size_t inflight;
-  std::size_t queued;
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    inflight = inflight_;
-    queued = queued_;
+  const DaemonStats s = stats();
+  for (const auto& [key, value] :
+       std::initializer_list<std::pair<const char*, std::uint64_t>>{
+           {"connections_accepted", s.connections_accepted},
+           {"requests", s.requests},
+           {"responses_ok", s.responses_ok},
+           {"responses_error", s.responses_error},
+           {"rejected_overload", s.rejected_overload},
+           {"deadline_exceeded", s.deadline_exceeded},
+           {"cancelled_disconnect", s.cancelled_disconnect},
+           {"resource_exhausted", s.resource_exhausted},
+           {"frames_too_large", s.frames_too_large},
+           {"malformed_requests", s.malformed_requests},
+           {"cmd_count", s.cmd_count},
+           {"cmd_ingest", s.cmd_ingest},
+           {"cmd_status", s.cmd_status},
+           {"cmd_inspect", s.cmd_inspect},
+           {"cmd_metrics", s.cmd_metrics},
+           {"cmd_shutdown", s.cmd_shutdown},
+           {"connections_open", s.connections_open},
+           {"inflight", s.inflight},
+           {"queued", s.queued}}) {
+    response.Add(key, std::to_string(value));
   }
-  response.Add("connections_accepted",
-               std::to_string(snapshot.connections_accepted));
-  response.Add("requests", std::to_string(snapshot.requests));
-  response.Add("responses_ok", std::to_string(snapshot.responses_ok));
-  response.Add("responses_error", std::to_string(snapshot.responses_error));
-  response.Add("rejected_overload",
-               std::to_string(snapshot.rejected_overload));
-  response.Add("deadline_exceeded",
-               std::to_string(snapshot.deadline_exceeded));
-  response.Add("cancelled_disconnect",
-               std::to_string(snapshot.cancelled_disconnect));
-  response.Add("resource_exhausted",
-               std::to_string(snapshot.resource_exhausted));
-  response.Add("frames_too_large", std::to_string(snapshot.frames_too_large));
-  response.Add("malformed_requests",
-               std::to_string(snapshot.malformed_requests));
-  response.Add("cmd_count", std::to_string(snapshot.cmd_count));
-  response.Add("cmd_ingest", std::to_string(snapshot.cmd_ingest));
-  response.Add("cmd_status", std::to_string(snapshot.cmd_status));
-  response.Add("cmd_inspect", std::to_string(snapshot.cmd_inspect));
-  response.Add("cmd_metrics", std::to_string(snapshot.cmd_metrics));
-  response.Add("cmd_shutdown", std::to_string(snapshot.cmd_shutdown));
-  response.Add("inflight", std::to_string(inflight));
-  response.Add("queued", std::to_string(queued));
   response.Add("uptime_s",
                FormatMs(ElapsedMs(start_time_) / 1000.0));
   response.Add("started_at", started_at_);
@@ -607,72 +596,49 @@ Response Daemon::HandleMetrics() {
   // Process-wide families first (engine counts, plan cache, probe filters,
   // index builds), then this daemon instance's own sharpcqd_* section.
   std::string body = MetricsRegistry::Instance().RenderPrometheus();
-  DaemonStats s = stats();
-  std::size_t inflight;
-  std::size_t queued;
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    inflight = inflight_;
-    queued = queued_;
+  const DaemonStats s = stats();
+  auto family = [&body](const char* name, const char* type) {
+    body += std::string("# TYPE ") + name + " " + type + "\n";
+  };
+  auto single = [&](const char* name, const char* type, auto value) {
+    family(name, type);
+    AppendPrometheusLine(&body, name, "", value);
+  };
+  single("sharpcqd_uptime_seconds", "gauge", ElapsedMs(start_time_) / 1000.0);
+  single("sharpcqd_connections_total", "counter", s.connections_accepted);
+  single("sharpcqd_connections_open", "gauge", s.connections_open);
+  family("sharpcqd_requests_total", "counter");
+  for (const auto& [command, n] :
+       std::initializer_list<std::pair<const char*, std::uint64_t>>{
+           {"count", s.cmd_count},
+           {"ingest", s.cmd_ingest},
+           {"inspect", s.cmd_inspect},
+           {"metrics", s.cmd_metrics},
+           {"status", s.cmd_status},
+           {"shutdown", s.cmd_shutdown}}) {
+    AppendPrometheusLine(&body, "sharpcqd_requests_total",
+                         std::string("{command=\"") + command + "\"}", n);
   }
-  body += "# TYPE sharpcqd_uptime_seconds gauge\n";
-  AppendPrometheusLine(&body, "sharpcqd_uptime_seconds", "",
-                       ElapsedMs(start_time_) / 1000.0);
-  body += "# TYPE sharpcqd_connections_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_connections_total", "",
-                       s.connections_accepted);
-  body += "# TYPE sharpcqd_requests_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"count\"}", s.cmd_count);
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"ingest\"}", s.cmd_ingest);
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"inspect\"}", s.cmd_inspect);
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"metrics\"}", s.cmd_metrics);
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"status\"}", s.cmd_status);
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"shutdown\"}", s.cmd_shutdown);
-  body += "# TYPE sharpcqd_responses_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_responses_total",
-                       "{result=\"ok\"}", s.responses_ok);
+  family("sharpcqd_responses_total", "counter");
+  AppendPrometheusLine(&body, "sharpcqd_responses_total", "{result=\"ok\"}",
+                       s.responses_ok);
   AppendPrometheusLine(&body, "sharpcqd_responses_total",
                        "{result=\"error\"}", s.responses_error);
-  body += "# TYPE sharpcqd_rejected_overload_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_rejected_overload_total", "",
-                       s.rejected_overload);
-  body += "# TYPE sharpcqd_deadline_exceeded_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_deadline_exceeded_total", "",
-                       s.deadline_exceeded);
-  body += "# TYPE sharpcqd_cancelled_disconnect_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_cancelled_disconnect_total", "",
-                       s.cancelled_disconnect);
-  body += "# TYPE sharpcqd_resource_exhausted_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_resource_exhausted_total", "",
-                       s.resource_exhausted);
+  single("sharpcqd_rejected_overload_total", "counter", s.rejected_overload);
+  single("sharpcqd_deadline_exceeded_total", "counter", s.deadline_exceeded);
+  single("sharpcqd_cancelled_disconnect_total", "counter",
+         s.cancelled_disconnect);
+  single("sharpcqd_resource_exhausted_total", "counter", s.resource_exhausted);
   if (const MemoryBudget* budget =
           options_.catalog.engine.total_budget.get();
       budget != nullptr) {
-    body += "# TYPE sharpcqd_memory_budget_bytes gauge\n";
-    AppendPrometheusLine(&body, "sharpcqd_memory_budget_bytes", "",
-                         budget->limit());
-    body += "# TYPE sharpcqd_memory_inflight_bytes gauge\n";
-    AppendPrometheusLine(&body, "sharpcqd_memory_inflight_bytes", "",
-                         budget->used());
+    single("sharpcqd_memory_budget_bytes", "gauge", budget->limit());
+    single("sharpcqd_memory_inflight_bytes", "gauge", budget->used());
   }
-  body += "# TYPE sharpcqd_frames_too_large_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_frames_too_large_total", "",
-                       s.frames_too_large);
-  body += "# TYPE sharpcqd_malformed_requests_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_malformed_requests_total", "",
-                       s.malformed_requests);
-  body += "# TYPE sharpcqd_inflight_requests gauge\n";
-  AppendPrometheusLine(&body, "sharpcqd_inflight_requests", "",
-                       static_cast<std::uint64_t>(inflight));
-  body += "# TYPE sharpcqd_queued_requests gauge\n";
-  AppendPrometheusLine(&body, "sharpcqd_queued_requests", "",
-                       static_cast<std::uint64_t>(queued));
+  single("sharpcqd_frames_too_large_total", "counter", s.frames_too_large);
+  single("sharpcqd_malformed_requests_total", "counter", s.malformed_requests);
+  single("sharpcqd_inflight_requests", "gauge", s.inflight);
+  single("sharpcqd_queued_requests", "gauge", s.queued);
   body += "# TYPE sharpcqd_request_latency_ms histogram\n";
   count_latency_.snapshot().AppendPrometheus(
       &body, "sharpcqd_request_latency_ms", "{command=\"count\"}");

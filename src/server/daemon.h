@@ -5,7 +5,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -16,11 +19,13 @@
 #include "util/cancel.h"
 #include "util/clock.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace sharpcq {
 
-// Cumulative daemon counters, readable while serving (`status` returns
-// them over the wire; tests poll them in-process).
+// Cumulative daemon counters plus the serving loop's current gauges,
+// readable while serving (`status` returns them over the wire; tests poll
+// them in-process).
 struct DaemonStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t requests = 0;
@@ -39,6 +44,10 @@ struct DaemonStats {
   std::uint64_t cmd_inspect = 0;
   std::uint64_t cmd_metrics = 0;
   std::uint64_t cmd_shutdown = 0;
+  // Gauges, published by the serving loop once per wakeup.
+  std::uint64_t connections_open = 0;
+  std::uint64_t inflight = 0;
+  std::uint64_t queued = 0;
 };
 
 struct DaemonOptions {
@@ -56,8 +65,6 @@ struct DaemonOptions {
   // Applied to count requests that carry no deadline_ms argument; zero
   // means no deadline.
   std::chrono::milliseconds default_deadline{0};
-  // How often the disconnect watcher polls executing requests' sockets.
-  std::chrono::milliseconds watch_interval{5};
   // Memory budgets (graceful degradation): max_query_bytes caps what one
   // count may allocate; max_total_bytes caps the sum across all in-flight
   // counts over every database (one shared MemoryBudget installed into
@@ -84,19 +91,21 @@ struct DaemonOptions {
 //   metrics                                              Prometheus text
 //   shutdown                                             ack, then Wait() returns
 //
-// Request lifecycle: the connection thread parses the frame, passes the
-// admission gate, and builds a CancelToken carrying the request deadline.
-// While the count executes, the disconnect watcher polls the connection's
-// socket and cancels the token if the client vanished; the token is also
-// checked once per morsel inside the kernel (algebra/exec_policy.h), so a
-// deadline expiring mid-join stops the execution within one morsel of
-// probe work and the client gets a DEADLINE_EXCEEDED (or CANCELLED)
-// response instead of a hang.
-//
-// Threading: one accept thread, one watcher thread, one thread per
-// connection. Stop() (or the `shutdown` command followed by Stop()) closes
-// the listener, shuts down every open connection socket, cancels inflight
-// tokens, and joins everything; the destructor calls Stop().
+// Serving: one poll(2) loop thread owns the listener and every connection.
+// It accepts, assembles frames without blocking (a slow sender stalls only
+// itself), and applies admission: a count/ingest takes one of max_inflight
+// slots, waits in a FIFO of at most max_queued, or is answered OVERLOADED.
+// Requests run on max_inflight + 1 pool workers (the spare keeps status,
+// inspect, metrics and shutdown answering while every count slot is busy);
+// a worker sends the response and hands the connection back to the loop.
+// So after Start the daemon's own threads are fixed, however many clients
+// come and go. While a request waits or runs, a hang-up on its socket
+// cancels its CancelToken, which also carries the deadline and is checked
+// once per morsel in the kernel (algebra/exec_policy.h): an expired or
+// abandoned count stops within one morsel and answers DEADLINE_EXCEEDED
+// (or CANCELLED) instead of hanging. Stop() (or `shutdown` followed by
+// Stop()) stops the loop, cancels every request, shuts down every socket
+// and drains the workers; the destructor calls Stop().
 class Daemon {
  public:
   explicit Daemon(DaemonOptions options);
@@ -105,8 +114,8 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  // Binds, listens, and starts the accept + watcher threads. False with
-  // *error set if the address cannot be bound.
+  // Binds, listens, and starts the serving loop and its workers. False
+  // with *error set if the address cannot be bound.
   bool Start(std::string* error);
 
   // The bound port (valid after Start; useful with options.port == 0).
@@ -122,29 +131,55 @@ class Daemon {
   DaemonStats stats() const;
 
  private:
-  void AcceptLoop();
-  void WatchLoop();
-  void ServeConnection(int fd);
+  // One client socket, owned by the loop. While `busy`, a worker holds it
+  // for the connection's one outstanding request and may set only `drop`.
+  struct Connection {
+    int fd = -1;
+    std::string in;          // received bytes not yet consumed as a frame
+    bool busy = false;       // a request is queued or running
+    bool hung_up = false;    // peer gone while busy: stop polling it
+    bool admitted = false;   // the request holds a max_inflight slot
+    bool drop = false;       // close on hand-back
+    std::optional<CancelToken> token;
+  };
 
-  Response Dispatch(const Request& request, int fd);
-  Response HandleCount(const Request& request, int fd);
+  // One complete frame, as the loop hands it to a worker.
+  struct Job {
+    Connection* conn = nullptr;
+    std::optional<Request> request;  // nullopt: malformed or too large
+    std::string error;               // why request is nullopt
+    bool too_large = false;   // answer, then drop: the payload is unread
+    bool overloaded = false;  // count/ingest refused admission
+  };
+
+  // Loop thread only.
+  void Loop();
+  void Accept();
+  void Receive(Connection& conn);
+  // Takes up the frame buffered at the front of conn.in, if complete:
+  // parses it, applies admission, and hands it to a worker.
+  void NextFrame(Connection& conn);
+  void Submit(Job job);
+  void Reap();
+  void CloseConnection(int fd);
+
+  // Worker side: answers one job and hands its connection back.
+  void Serve(Job job);
+  void Wake();
+
+  void Bump(std::uint64_t DaemonStats::*counter);
+  Response Dispatch(const Request& request, bool overloaded,
+                    CancelToken* token);
+  Response HandleCount(const Request& request, CancelToken* token);
   Response HandleIngest(const Request& request);
   Response HandleStatus();
   Response HandleInspect(const Request& request);
   Response HandleMetrics();
 
-  // Admission gate for count/ingest. False = reject with OVERLOADED.
-  bool EnterAdmission();
-  void LeaveAdmission();
-
-  // Disconnect watcher registry: while a request executes, its connection
-  // fd maps to the request's cancel token.
-  void WatchDisconnect(int fd, CancelToken* token);
-  void UnwatchDisconnect(int fd);
-
   DaemonOptions options_;
   Catalog catalog_;
   int listen_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd: hand-backs and Stop wake the loop
   int port_ = 0;
 
   // Uptime anchor (steady) and human start time (wall, log/status only),
@@ -159,23 +194,22 @@ class Daemon {
   Histogram ingest_latency_;
 
   std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::thread watch_thread_;
+  std::thread loop_thread_;
+  std::unique_ptr<ThreadPool> workers_;
 
-  mutable std::mutex mu_;  // connections, stats, stop signal
+  // Loop-local state.
+  std::unordered_map<int, Connection> connections_;
+  bool accept_paused_ = false;  // accept failed for lack of resources
+  std::size_t inflight_ = 0;
+  std::deque<Job> queue_;  // admitted to wait, at most max_queued
+
+  std::mutex done_mu_;
+  std::vector<Connection*> done_;  // handed back by workers
+
+  mutable std::mutex mu_;  // stats, stop signal
   std::condition_variable stop_cv_;
   bool stop_requested_ = false;
-  std::vector<std::thread> connection_threads_;
-  std::vector<int> connection_fds_;
   DaemonStats stats_;
-
-  std::mutex admission_mu_;
-  std::condition_variable admission_cv_;
-  std::size_t inflight_ = 0;
-  std::size_t queued_ = 0;
-
-  std::mutex watch_mu_;
-  std::unordered_map<int, CancelToken*> watched_;
 
   // Serializes ingest's read-copy-swap against concurrent ingests of the
   // same catalog; counts are unaffected (they pin their generation).

@@ -226,19 +226,30 @@ bool SendFrame(int fd, std::string_view payload, std::string* error) {
   return SendAll(fd, frame.data(), frame.size(), error);
 }
 
+std::optional<std::uint32_t> FrameHeaderSize(std::string_view buffer) {
+  if (buffer.size() < kFrameHeaderBytes) return std::nullopt;
+  const auto* header = reinterpret_cast<const unsigned char*>(buffer.data());
+  return (static_cast<std::uint32_t>(header[0]) << 24) |
+         (static_cast<std::uint32_t>(header[1]) << 16) |
+         (static_cast<std::uint32_t>(header[2]) << 8) |
+         static_cast<std::uint32_t>(header[3]);
+}
+
+std::string FrameTooLargeError(std::uint32_t size, std::uint32_t max_bytes) {
+  return "frame of " + std::to_string(size) + " bytes exceeds limit of " +
+         std::to_string(max_bytes);
+}
+
 FrameStatus RecvFrame(int fd, std::uint32_t max_bytes, std::string* payload,
                       std::string* error) {
-  unsigned char header[4];
-  int got = RecvAll(fd, reinterpret_cast<char*>(header), 4, error);
+  char header[kFrameHeaderBytes];
+  int got = RecvAll(fd, header, kFrameHeaderBytes, error);
   if (got == 0) return FrameStatus::kClosed;
   if (got < 0) return FrameStatus::kError;
-  const std::uint32_t size = (static_cast<std::uint32_t>(header[0]) << 24) |
-                             (static_cast<std::uint32_t>(header[1]) << 16) |
-                             (static_cast<std::uint32_t>(header[2]) << 8) |
-                             static_cast<std::uint32_t>(header[3]);
+  const std::uint32_t size =
+      *FrameHeaderSize(std::string_view(header, kFrameHeaderBytes));
   if (size > max_bytes) {
-    SetError(error, "frame of " + std::to_string(size) +
-                        " bytes exceeds limit of " + std::to_string(max_bytes));
+    SetError(error, FrameTooLargeError(size, max_bytes));
     return FrameStatus::kTooLarge;
   }
   payload->resize(size);

@@ -1,6 +1,7 @@
 #ifndef SHARPCQ_SERVER_PROTOCOL_H_
 #define SHARPCQ_SERVER_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -117,6 +118,15 @@ bool SendFrame(int fd, std::string_view payload, std::string* error);
 // between frames; a disconnect mid-frame is kError.
 FrameStatus RecvFrame(int fd, std::uint32_t max_bytes, std::string* payload,
                       std::string* error);
+
+// For readers that assemble frames from nonblocking reads: the payload size
+// announced by the header at the front of `buffer`, or nullopt while fewer
+// than kFrameHeaderBytes have arrived.
+inline constexpr std::size_t kFrameHeaderBytes = 4;
+std::optional<std::uint32_t> FrameHeaderSize(std::string_view buffer);
+
+// The kTooLarge error text for a header announcing `size` bytes.
+std::string FrameTooLargeError(std::uint32_t size, std::uint32_t max_bytes);
 
 }  // namespace sharpcq
 

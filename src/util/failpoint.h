@@ -27,9 +27,9 @@ namespace sharpcq {
 //   csv.open               CSV ingest: file open
 //   csv.row                CSV ingest: once per parsed row
 //   index.build            TableIndex build (fires as allocation failure)
-//   daemon.accept          Daemon accept loop
-//   daemon.recv            Daemon request read
-//   daemon.send            Daemon response write
+//   daemon.accept          Daemon serving loop: each accepted connection
+//   daemon.recv            Daemon worker: each request frame it takes up
+//   daemon.send            Daemon worker: each response write
 enum class FailpointAction : std::uint8_t {
   kNone = 0,
   kError,       // the site should fail with an injected error

@@ -2,14 +2,21 @@
 // oversized frames, admission-control backpressure, and the request
 // deadline/cancellation path — a deadline expiring mid-count must come
 // back as DEADLINE_EXCEEDED (not a hang), and a client disconnecting
-// mid-request must cancel the execution it abandoned. Runs under both
-// sanitizers in CI (.github/workflows/ci.yml).
+// mid-request must cancel the execution it abandoned. The serving loop
+// must stay bounded in threads, memory and fds under connection churn, and
+// a slow sender must stall only itself. Runs under both sanitizers in CI
+// (.github/workflows/ci.yml).
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <string>
 #include <thread>
@@ -530,6 +537,165 @@ TEST(DaemonTest, ShutdownCommandUnblocksWait) {
   waiter.join();
   EXPECT_TRUE(returned.load());
   fixture.daemon->Stop();
+}
+
+// --- bounded serving resources -----------------------------------------------
+
+// A numeric field of /proc/self/status ("Threads", "VmSize" in kB), or -1.
+long ProcStatusField(const std::string& key) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(key + ":", 0) == 0) {
+      return std::strtol(line.c_str() + key.size() + 1, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+// Live threads, once any that were just joined have finished exiting
+// (they linger in /proc/self for a moment after the join returns).
+long SettledThreadCount() {
+  long last = ProcStatusField("Threads");
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const long now = ProcStatusField("Threads");
+    if (now == last) break;
+    last = now;
+  }
+  return last;
+}
+
+std::size_t OpenFds() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(DaemonTest, ConnectionChurnKeepsThreadsMemoryAndFdsBounded) {
+  const long threads_before = SettledThreadCount();
+  DaemonOptions options;
+  const long workers = static_cast<long>(options.max_inflight) + 1;
+  DaemonFixture fixture(std::move(options));
+  // The daemon's own threads are fixed at Start: one loop plus the pool.
+  const long threads_started = SettledThreadCount();
+  EXPECT_EQ(threads_started - threads_before, 1 + workers);
+  const long vmsize_started_kb = ProcStatusField("VmSize");
+  const std::size_t fds_started = OpenFds();
+
+  Request status;
+  status.command = "status";
+  std::string error;
+  for (int i = 0; i < 300; ++i) {
+    Client client = fixture.Connect();
+    ASSERT_TRUE(client.Call(status, &error).has_value())
+        << "connection " << i << ": " << error;
+  }
+  // The daemon closes its side once it sees each client's EOF.
+  auto deadline = steady_clock::now() + std::chrono::seconds(20);
+  while (OpenFds() > fds_started && steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(OpenFds(), fds_started);
+  EXPECT_EQ(SettledThreadCount(), threads_started);
+  // VmSize may grow by one 64 MiB malloc arena per daemon thread (glibc
+  // reserves one on a thread's first allocation), plus slack; never per
+  // connection. A thread per connection kept each exited thread's 8 MiB
+  // stack mapped until Stop: 300 connections grew VmSize by ~2.4 GB.
+  const long arena_kb = 64L * 1024;
+  EXPECT_LT(ProcStatusField("VmSize") - vmsize_started_kb,
+            (1 + workers) * arena_kb + arena_kb)
+      << "kB of VmSize growth over 300 connections";
+
+  // The loop's connection gauge, over the wire: only this prober is open.
+  Client prober = fixture.Connect();
+  auto state = prober.Call(status, &error);
+  ASSERT_TRUE(state.has_value()) << error;
+  ASSERT_NE(state->Field("connections_open"), nullptr);
+  EXPECT_EQ(*state->Field("connections_open"), "1");
+  EXPECT_EQ(*state->Field("connections_accepted"), "301");
+  Request metrics;
+  metrics.command = "metrics";
+  auto scraped = prober.Call(metrics, &error);
+  ASSERT_TRUE(scraped.has_value()) << error;
+  EXPECT_NE(scraped->body.find("# TYPE sharpcqd_connections_open gauge\n"
+                               "sharpcqd_connections_open 1\n"),
+            std::string::npos)
+      << scraped->body;
+}
+
+// User plus system CPU time this process has used, in ms.
+double ProcessCpuMs() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return (usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) * 1e3 +
+         (usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) / 1e3;
+}
+
+TEST(DaemonTest, AcceptAtFdLimitRetriesWithoutSpinning) {
+  DaemonFixture fixture;
+  rlimit original{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &original), 0);
+  // New fds take the lowest free number: cap the table right above it, so
+  // the client's socket still fits but the daemon's accept gets EMFILE.
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit capped = original;
+  capped.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+  Client client = fixture.Connect();  // queued in the listen backlog
+
+  const double cpu_before = ProcessCpuMs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_ms = ProcessCpuMs() - cpu_before;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &original), 0);
+  // A loop spinning on the readable listener burns the whole interval.
+  EXPECT_LT(cpu_ms, 100.0) << "ms of CPU while accept was out of fds";
+
+  // Once fds are available again, the waiting connection is served.
+  std::string error;
+  Request status;
+  status.command = "status";
+  auto deadline = steady_clock::now() + std::chrono::seconds(5);
+  while (fixture.daemon->stats().connections_accepted == 0 &&
+         steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(fixture.daemon->stats().connections_accepted, 1u);
+  auto answered = client.Call(status, &error);
+  ASSERT_TRUE(answered.has_value()) << error;
+  EXPECT_TRUE(answered->ok);
+}
+
+TEST(DaemonTest, SlowSenderStallsOnlyItself) {
+  DaemonFixture fixture;
+  std::string error;
+  // A 100-byte `status` request (space-padded), of which only the header
+  // and 10 payload bytes arrive before the sender stalls.
+  const std::string payload = "status" + std::string(94, ' ');
+  const char header[4] = {0x00, 0x00, 0x00, 0x64};
+  Client slow = fixture.Connect();
+  ASSERT_TRUE(slow.SendRaw(std::string_view(header, 4), &error)) << error;
+  ASSERT_TRUE(slow.SendRaw(payload.substr(0, 10), &error)) << error;
+
+  Client other = fixture.Connect();
+  auto start = steady_clock::now();
+  auto counted = other.Call(CountRequest("demo", "Q(X,Y) <- r(X,Y)"), &error);
+  ASSERT_TRUE(counted.has_value()) << error;
+  ASSERT_TRUE(counted->ok) << counted->code << " " << counted->message;
+  EXPECT_EQ(*counted->Field("count"), "3");
+  EXPECT_LT(MsSince(start), 2000.0);
+
+  // The stalled frame completes later and is answered on its connection.
+  ASSERT_TRUE(slow.SendRaw(payload.substr(10), &error)) << error;
+  auto answered = slow.Receive(&error);
+  ASSERT_TRUE(answered.has_value()) << error;
+  EXPECT_TRUE(answered->ok);
 }
 
 }  // namespace
