@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <new>
 
 #include "algebra/simd.h"
 #include "util/cpu.h"
@@ -169,9 +170,15 @@ void RunMorsels(const MorselPlan& plan, std::size_t rows,
   // Once the cancel token trips, drainers keep claiming chunks but skip
   // their bodies — the claim loop converges in a few atomic increments
   // instead of finishing the remaining probe work, and the caller throws
-  // below, discarding whatever the executed chunks produced.
+  // below, discarding whatever the executed chunks produced. A body that
+  // runs out of memory (std::bad_alloc from an allocation no budget
+  // charged) stops the loop the same way: the first failure is kept, and
+  // the caller rethrows it once every claimed chunk has finished, so the
+  // engine maps it onto one query's RESOURCE_EXHAUSTED instead of the
+  // exception escaping a pool worker and terminating the process.
   struct State {
     std::atomic<std::size_t> next{0};
+    std::atomic<bool> out_of_memory{false};
     std::mutex mu;
     std::condition_variable done_cv;
     std::size_t completed = 0;
@@ -187,8 +194,13 @@ void RunMorsels(const MorselPlan& plan, std::size_t rows,
       // dereferencing caller-owned pointers.
       std::size_t c = state->next.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) return;
-      if (cancel == nullptr || !cancel->stop_requested()) {
-        (*body)(c, plan.ChunkBegin(c), plan.ChunkEnd(c, rows));
+      if ((cancel == nullptr || !cancel->stop_requested()) &&
+          !state->out_of_memory.load(std::memory_order_relaxed)) {
+        try {
+          (*body)(c, plan.ChunkBegin(c), plan.ChunkEnd(c, rows));
+        } catch (const std::bad_alloc&) {
+          state->out_of_memory.store(true, std::memory_order_relaxed);
+        }
       }
       std::lock_guard<std::mutex> lock(state->mu);
       if (++state->completed == chunks) state->done_cv.notify_one();
@@ -196,11 +208,20 @@ void RunMorsels(const MorselPlan& plan, std::size_t rows,
   };
   const std::size_t runners =
       chunks - 1 < pool->num_threads() ? chunks - 1 : pool->num_threads();
-  for (std::size_t r = 0; r < runners; ++r) pool->Submit(drain);
+  try {
+    for (std::size_t r = 0; r < runners; ++r) pool->Submit(drain);
+  } catch (const std::bad_alloc&) {
+    // Runners already queued may still hold `body`: drain and wait as
+    // usual (every body is skipped now), then rethrow below.
+    state->out_of_memory.store(true, std::memory_order_relaxed);
+  }
   drain();  // the caller claims chunks too: progress never depends on the pool
   std::unique_lock<std::mutex> lock(state->mu);
   state->done_cv.wait(lock, [&] { return state->completed == chunks; });
   lock.unlock();
+  if (state->out_of_memory.load(std::memory_order_relaxed)) {
+    throw std::bad_alloc();
+  }
   if (cancel != nullptr) CheckExecInterrupt();
 }
 

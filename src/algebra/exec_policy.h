@@ -173,7 +173,8 @@ MorselPlan PlanMorsels(std::size_t rows, std::size_t build_groups);
 // busy (or the pool never schedules a runner), which is what makes it safe
 // to dispatch onto the engine's batch pool from inside a batch job. `body`
 // must be safe to invoke concurrently for disjoint chunks and must not
-// throw.
+// throw, except std::bad_alloc: a parallel loop stops claiming new work
+// after one, and the CALLING thread rethrows it once the loop drains.
 //
 // Cancellation: the claim loop checks the policy's CancelToken before every
 // claim. Once stopped, remaining chunks are claimed but not executed (so

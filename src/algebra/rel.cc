@@ -237,15 +237,8 @@ std::size_t EstimatedDistinctCount(const Rel& r, const IdSet& onto) {
   if (key_vars.size() == 0) return rows == 0 ? 0 : 1;
   std::shared_ptr<const TableStats> stats = r.table()->StatsIfPresent();
   if (stats == nullptr) return rows;
-  std::uint64_t est = 1;
-  for (int c : ColumnsOf(r, key_vars)) {
-    const std::uint64_t distinct =
-        stats->columns[static_cast<std::size_t>(c)].distinct;
-    if (distinct == 0) return 0;
-    if (est >= rows / distinct + 1) return rows;  // product already >= rows
-    est *= distinct;
-  }
-  return est < rows ? static_cast<std::size_t>(est) : rows;
+  return static_cast<std::size_t>(
+      EstimatedDistinctCount(*stats, ColumnsOf(r, key_vars)));
 }
 
 VarRelation ToVarRelation(const Rel& r) {

@@ -36,6 +36,21 @@ TableStats ComputeTableStats(const Table& table) {
   return stats;
 }
 
+std::uint64_t EstimatedDistinctCount(const TableStats& stats,
+                                     std::span<const int> cols) {
+  const std::uint64_t rows = stats.rows;
+  if (cols.empty()) return rows == 0 ? 0 : 1;
+  std::uint64_t est = 1;
+  for (int c : cols) {
+    const std::uint64_t distinct =
+        stats.columns[static_cast<std::size_t>(c)].distinct;
+    if (distinct == 0) return 0;
+    if (est >= rows / distinct + 1) return rows;  // product already >= rows
+    est *= distinct;
+  }
+  return std::min(est, rows);
+}
+
 std::shared_ptr<const TableStats> PermuteStats(const TableStats& in,
                                                std::span<const int> perm) {
   auto out = std::make_shared<TableStats>();

@@ -22,8 +22,8 @@ class Database;
 // table and then cached on the Table like its indexes, or loaded for free
 // from a v2 snapshot's stats section (storage/snapshot.h).
 //
-// The consumers are scheduling decisions only: strategy tie-breaks in the
-// planner, join-tree rooting and child ordering, the consistency worklist
+// The consumers are scheduling decisions only: the planner's choice among
+// exact strategies, join-tree rooting and child ordering, the consistency worklist
 // priority, and morsel thresholds. Every strategy stays exact, so a wrong
 // estimate can cost time, never correctness — the differential suite runs
 // cost-model-on against cost-model-off to prove it.
@@ -68,6 +68,15 @@ struct TableStats {
 // index groups (building and caching those indexes if absent — they are
 // the most commonly probed ones anyway).
 TableStats ComputeTableStats(const Table& table);
+
+// Estimate of |pi_cols(table)| from its statistics alone: the product of
+// the columns' distinct counts, capped at the row count (1 for no columns
+// of a non-empty table). The one distinct-count estimator of the cost
+// model: the kernel's scheduling reads it through EstimatedDistinctCount on
+// a Rel (algebra/rel.h), and the planner's strategy estimates, which see
+// only a DataProfile, call it directly.
+std::uint64_t EstimatedDistinctCount(const TableStats& stats,
+                                     std::span<const int> cols);
 
 // Column-permuted view: out.columns[c] = in.columns[perm[c]]. The atom
 // bridge uses this to carry a stored relation's persisted stats onto the

@@ -51,8 +51,8 @@ struct CountResult {
 
   // Cost-model provenance (engine layer): whether the executed plan or any
   // runtime scheduling decision was steered by data statistics —
-  // `cost_model_steered` is true when the planner's strategy tie-break
-  // fired or `cost_reorders` (join-tree re-rootings, child reorderings,
+  // `cost_model_steered` is true when the profile moved the planner off its
+  // structural strategy choice or `cost_reorders` (join-tree re-rootings, child reorderings,
   // non-FIFO consistency scheduling) is nonzero. Both zero/false when
   // EngineOptions::enable_cost_model is off. Counts never depend on it.
   bool cost_model_steered = false;

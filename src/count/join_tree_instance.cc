@@ -15,8 +15,8 @@ namespace {
 
 // Summed child-side row counts of the tree rooted at `root`, writing the
 // orientation into *parent (-1 for the root). BFS over the undirected
-// adjacency; the instance's shape is always connected (TopoOrder asserts
-// it), so every vertex is reached.
+// adjacency; the shape is always connected (TopoOrder asserts it), so every
+// vertex is reached.
 //
 // Why the child side: FullReduce charges an edge (p, c) roughly
 // size(p) upward probes + size(c) child index build + size(c) downward
@@ -25,9 +25,9 @@ namespace {
 // term — the best root keeps big relations on the parent (probe) side and
 // small ones on the child (build) side.
 std::uint64_t RootingCost(const std::vector<std::vector<int>>& adj,
-                          const std::vector<Rel>& nodes, int root,
+                          std::span<const std::uint64_t> sizes, int root,
                           std::vector<int>* parent) {
-  parent->assign(nodes.size(), -2);
+  parent->assign(sizes.size(), -2);
   (*parent)[static_cast<std::size_t>(root)] = -1;
   std::vector<int> queue{root};
   std::uint64_t cost = 0;
@@ -36,7 +36,7 @@ std::uint64_t RootingCost(const std::vector<std::vector<int>>& adj,
     for (int u : adj[static_cast<std::size_t>(v)]) {
       if ((*parent)[static_cast<std::size_t>(u)] != -2) continue;
       (*parent)[static_cast<std::size_t>(u)] = v;
-      cost += nodes[static_cast<std::size_t>(u)].size();
+      cost += sizes[static_cast<std::size_t>(u)];
       queue.push_back(u);
     }
   }
@@ -45,41 +45,46 @@ std::uint64_t RootingCost(const std::vector<std::vector<int>>& adj,
 
 }  // namespace
 
+std::vector<int> CostModelRooting(const TreeShape& shape,
+                                  std::span<const std::uint64_t> sizes) {
+  const std::size_t n = shape.size();
+  SHARPCQ_CHECK(sizes.size() == n);
+  std::vector<std::vector<int>> adj(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const int p = shape.parent[v];
+    if (p < 0) continue;
+    adj[v].push_back(p);
+    adj[static_cast<std::size_t>(p)].push_back(static_cast<int>(v));
+  }
+  // Exact best rooting, seeded with the current root so ties never move
+  // anything (deterministic, and a uniform instance stays untouched).
+  std::vector<int> parent;
+  std::vector<int> best_parent;
+  std::uint64_t best_cost = RootingCost(adj, sizes, shape.root, &best_parent);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (static_cast<int>(r) == shape.root) continue;
+    const std::uint64_t cost =
+        RootingCost(adj, sizes, static_cast<int>(r), &parent);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_parent = parent;
+    }
+  }
+  return best_parent;
+}
+
 void OptimizeInstanceOrder(JoinTreeInstance* instance) {
   const ExecPolicy* policy = CurrentExecPolicy();
   if (policy == nullptr || !policy->cost_model) return;
   const std::size_t n = instance->nodes.size();
   if (n < 2) return;
 
-  std::vector<std::vector<int>> adj(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const int p = instance->shape.parent[v];
-    if (p < 0) continue;
-    adj[v].push_back(p);
-    adj[static_cast<std::size_t>(p)].push_back(static_cast<int>(v));
-  }
-
-  // Exact best rooting, seeded with the current root so ties never move
-  // anything (deterministic, and a uniform instance stays untouched).
-  const int old_root = instance->shape.root;
-  std::vector<int> parent;
-  std::vector<int> best_parent;
-  std::uint64_t best_cost =
-      RootingCost(adj, instance->nodes, old_root, &best_parent);
-  int best_root = old_root;
-  for (std::size_t r = 0; r < n; ++r) {
-    if (static_cast<int>(r) == old_root) continue;
-    const std::uint64_t cost =
-        RootingCost(adj, instance->nodes, static_cast<int>(r), &parent);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_root = static_cast<int>(r);
-      best_parent = parent;
-    }
-  }
-
-  bool changed = best_root != old_root;
-  if (changed) instance->shape = TreeShape::FromParents(best_parent);
+  std::vector<std::uint64_t> sizes;
+  sizes.reserve(n);
+  for (const Rel& node : instance->nodes) sizes.push_back(node.size());
+  std::vector<int> parent = CostModelRooting(instance->shape, sizes);
+  bool changed = parent != instance->shape.parent;
+  if (changed) instance->shape = TreeShape::FromParents(std::move(parent));
 
   // Most-selective child first: ascending estimated shared-key distinct
   // count, child index breaking ties (FromParents emits ascending index

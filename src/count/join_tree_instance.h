@@ -1,6 +1,8 @@
 #ifndef SHARPCQ_COUNT_JOIN_TREE_INSTANCE_H_
 #define SHARPCQ_COUNT_JOIN_TREE_INSTANCE_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "algebra/rel.h"
@@ -49,6 +51,13 @@ struct JoinTreeInstance {
 //
 // Tallies one ExecStats::cost_reorders when anything actually changed.
 void OptimizeInstanceOrder(JoinTreeInstance* instance);
+
+// Rewrite 1 above on its own: the parent array of `shape` re-rooted at the
+// vertex minimizing the summed child-side `sizes` (one per vertex), the
+// current root winning ties. The planner's PS13 estimate calls it with
+// estimated atom sizes, so it costs the tree the executor will run.
+std::vector<int> CostModelRooting(const TreeShape& shape,
+                                  std::span<const std::uint64_t> sizes);
 
 // Yannakakis' full reducer: one upward and one downward semijoin pass.
 // Afterwards the relations are pairwise consistent along tree edges, which

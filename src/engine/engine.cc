@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <new>
 #include <utility>
 
 #include "algebra/exec_policy.h"
@@ -151,6 +152,9 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
     span.Note("strategy", PlanStrategyName(planned.plan->strategy));
     span.Note("cache", planned.cache_hit ? "hit" : "miss");
     span.NoteCount("cache_shard", planned.cache_shard);
+    const CostEstimate& cost = planned.plan->cost;
+    if (cost.sharp_ms.has_value()) span.NoteMs("est_sharp", *cost.sharp_ms);
+    if (cost.ps13_ms.has_value()) span.NoteMs("est_ps13", *cost.ps13_ms);
     if (planned.plan->cost_model_steered) {
       span.Note("cost_model", "steered");
     }
@@ -205,6 +209,13 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
       result.status = CountStatus::kResourceExhausted;
       result.method = "interrupted";
       result.mem_refused_bytes = exhausted.requested_bytes;
+    } catch (const std::bad_alloc&) {
+      // An allocation no budget charged failed (no budget configured, or a
+      // growth site the budgets miss): this query fails, the process and
+      // every other query keep going. The refused size is unknown.
+      result = CountResult{};
+      result.status = CountStatus::kResourceExhausted;
+      result.method = "interrupted";
     }
     // Pool workers contribute through the ExecStats atomics, never the
     // trace; their totals are annotated here, when the span closes.

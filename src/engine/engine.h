@@ -57,7 +57,7 @@ struct EngineOptions {
   // Statistics-driven cost model (algebra/stats.h). When on, each Count
   // profiles the query's relations (lazily computed and cached per table —
   // free for tables loaded from v2 snapshots), hands the profile to the
-  // planner for strategy tie-breaks, appends its coarse fingerprint to the
+  // planner for its cost-based strategy choice, appends its coarse fingerprint to the
   // plan-cache key ("same shape + same data class => same plan"; an ingest
   // that changes a relation's class re-plans, one that does not keeps the
   // cache warm), and enables the runtime scheduling heuristics: join-tree
@@ -80,7 +80,9 @@ struct EngineOptions {
   // max_query_bytes caps the bytes one Count may allocate during its
   // execution; an over-budget Count unwinds at the refusing allocation and
   // returns status kResourceExhausted — the engine stays fully usable for
-  // subsequent calls. 0 = unlimited.
+  // subsequent calls. 0 = unlimited. An execution that hits std::bad_alloc
+  // (an allocation no budget charged, or no budget at all) ends the same
+  // way, with mem_refused_bytes 0.
   std::uint64_t max_query_bytes = 0;
   // A process-wide budget shared across engines (the daemon installs one
   // over every database's engine): tracks bytes held by all in-flight

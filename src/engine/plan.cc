@@ -44,9 +44,20 @@ std::string CountingPlan::DebugString() const {
   if (strategy == PlanStrategy::kSharpHypertree) {
     out += " (k=" + std::to_string(width_budget) + ")";
   }
-  out += "\ncost: ~" + Short(cost.query_factor) + " * m^" +
-         Short(cost.db_exponent);
-  if (!cost.note.empty()) out += " " + cost.note;
+  if (cost.sharp_ms.has_value() || cost.ps13_ms.has_value()) {
+    out += "\ncost:";
+    if (cost.sharp_ms.has_value()) {
+      out += " est_sharp=" + Short(*cost.sharp_ms) + "ms";
+    }
+    if (cost.ps13_ms.has_value()) {
+      out += " est_ps13=" + Short(*cost.ps13_ms) + "ms";
+    }
+    if (cost_model_steered) out += " (steered)";
+  } else {
+    out += "\ncost: ~" + Short(cost.query_factor) + " * m^" +
+           Short(cost.db_exponent);
+    if (!cost.note.empty()) out += " " + cost.note;
+  }
   out += "\n" + analysis.ToString();
   return out;
 }

@@ -52,11 +52,20 @@ struct PlannerOptions {
   std::string CacheFingerprint() const;
 };
 
-// A query-only cost sketch: the count runs in roughly
+// How the planner costed its choice. With a data profile (the engine's
+// default, EngineOptions::enable_cost_model) it estimates the wall time of
+// each exact candidate from the profile's row and distinct counts: the
+// #-hypertree's guard-join sizes against PS13's reduced rows and #-set
+// work (engine/planner.cc documents the model and its calibration). These
+// are cardinality estimates, and they pick the strategy. Without a profile,
+// or when no candidate has an estimate, only the query-only sketch is
+// filled: the count runs in roughly
 // O(query_factor * m^db_exponent * strategy-specific blowup), m the largest
-// relation. Good enough to explain the planner's choice; not a database
-// cardinality estimator.
+// relation.
 struct CostEstimate {
+  std::optional<double> sharp_ms;  // the #-hypertree candidate, if found
+  std::optional<double> ps13_ms;   // the PS13 candidate, if eligible
+
   double db_exponent = 0.0;
   double query_factor = 0.0;
   std::string note;  // e.g. "x 4^h in the degree bound h"
@@ -89,8 +98,9 @@ struct CountingPlan {
   double planning_ms = 0.0;  // wall time MakePlan spent building this plan
 
   // True when the data profile handed to MakePlan moved the strategy away
-  // from the structural default (currently: PS13 -> #b on heavy-degree
-  // instances). Purely provenance — every strategy is exact.
+  // from the structural default: the estimates picked PS13 over a found
+  // #-hypertree decomposition, or the degree steer sent PS13 to #b. Purely
+  // provenance — every strategy is exact.
   bool cost_model_steered = false;
 
   std::string DebugString() const;

@@ -1,9 +1,13 @@
 #include "engine/planner.h"
 
 #include <algorithm>
+#include <map>
+#include <vector>
 
 #include "algebra/stats.h"
+#include "count/join_tree_instance.h"
 #include "hypergraph/acyclic.h"
+#include "util/check.h"
 #include "util/clock.h"
 
 namespace sharpcq {
@@ -71,6 +75,206 @@ CostEstimate EstimateCost(const CountingPlan& plan) {
   return cost;
 }
 
+// --- Data-aware candidate estimates ------------------------------------------
+//
+// With a data profile the planner estimates the wall time of each exact
+// candidate and runs the cheaper one. The estimates read only what
+// DataProfile::Fingerprint classes (rows, per-column distinct counts; the
+// degree steer above reads max_group), so a plan cached under a fingerprint
+// was costed on data of the same class.
+//
+// Three kinds of work, each with its own weight:
+//   - probe: a row read by an index build, a semijoin probe or a scan —
+//     both strategies pay it for every input row they touch;
+//   - materialize: a row of a multi-atom guard join ⋈λ written out by the
+//     #-hypertree's bag materialization (out-of-cache, 4-8 columns wide);
+//   - set op: one PS13 #-set membership test — a child #-set stamped
+//     against every row of the parent's #-relation, in cache.
+//
+// Calibration (bench_strategy_choice's cases and serve_hot's shapes,
+// optimized build, 4-vCPU Xeon with 2 MiB L2): the skewed star's
+// #-hypertree spends 8.7 ms semijoining five atoms into its 200K-row bag
+// (~9 ns a probed row); the 2000/700 chain's two 4M-row cross-product bags
+// take 593 ms, of which ~450 ms is writing them (~60 ns a row); PS13's
+// #-set work runs 2-3 ns a membership test on the 3000/1500 path and
+// stars. Estimated vs measured ms (#-hypertree | PS13):
+//
+//   chain4 2000/700         696 vs 600-1000   |  12.0 vs 33-53
+//   path2 3000/1500         0.60 vs 0.40-0.65 |  11.6 vs 11-17
+//   star3 3000/1500         0.16 vs 0.17-0.29 |  53.7 vs 36-58
+//   path4 3000/1500         0.22 vs 0.63-1.2  |  11.7 vs 7.4-9.0
+//   star3_leaves 3000/1500  1.98 vs 1.0-1.9   |  23.5 vs 17-28
+//   skewed star 200K        10.8 vs 8.8-12.8  |  4.50 vs 0.8-1.8
+//
+// The estimates land within 2-4x of the measured times, so the planner
+// leaves the structural choice (#-hypertree) alone unless PS13 is
+// predicted at least kSteerMargin times cheaper. A width-1 decomposition
+// (one atom per bag) never crosses the margin: its estimate is at most
+// twice PS13's probe term alone. The model has no per-call fixed costs,
+// which dominate below ~0.1 ms, so a predicted saving under kMinSavingMs
+// never moves the choice either.
+constexpr double kProbeNs = 9.0;
+constexpr double kMaterializeNs = 60.0;
+constexpr double kSetOpNs = 3.0;
+constexpr double kSteerMargin = 2.0;
+constexpr double kMinSavingMs = 0.1;
+
+// An atom (or a join of atoms) as the estimates see it: its estimated row
+// count and, per variable, its estimated number of distinct values.
+struct RelEstimate {
+  double rows = 0.0;
+  std::map<VarId, double> distinct;
+};
+
+// Rows of the atom's relation that pass its constant positions, and each
+// variable's distinct count (EstimatedDistinctCount on its column, the
+// smallest one for a repeated variable). Relations without column stats
+// report every column as a key; absent relations have no rows.
+RelEstimate EstimateAtom(const Atom& atom, const DataProfile& profile) {
+  RelEstimate out;
+  const RelationProfile* rel = profile.Find(atom.relation);
+  if (rel == nullptr) return out;
+  const TableStats* stats = rel->stats.get();
+  auto column_distinct = [&](std::size_t c) -> double {
+    if (stats == nullptr || c >= stats->columns.size()) {
+      return static_cast<double>(rel->rows);
+    }
+    const int col[] = {static_cast<int>(c)};
+    return static_cast<double>(EstimatedDistinctCount(*stats, col));
+  };
+  out.rows = static_cast<double>(rel->rows);
+  for (std::size_t c = 0; c < atom.terms.size(); ++c) {
+    const Term& t = atom.terms[c];
+    if (!t.is_var()) {
+      out.rows /= std::max(1.0, column_distinct(c));
+      continue;
+    }
+    const double d = column_distinct(c);
+    auto [it, inserted] = out.distinct.emplace(t.var, d);
+    if (!inserted) it->second = std::min(it->second, d);
+  }
+  for (auto& [var, d] : out.distinct) d = std::min(d, out.rows);
+  return out;
+}
+
+// rdf3x-style join cardinality: the product of the row counts over, per
+// shared variable, the larger distinct count (no shared variable: a cross
+// product).
+RelEstimate EstimateJoin(const RelEstimate& a, const RelEstimate& b) {
+  RelEstimate out;
+  out.rows = a.rows * b.rows;
+  out.distinct = a.distinct;
+  for (const auto& [var, d] : b.distinct) {
+    auto [it, inserted] = out.distinct.emplace(var, d);
+    if (inserted) continue;
+    out.rows /= std::max({1.0, it->second, d});
+    it->second = std::min(it->second, d);
+  }
+  for (auto& [var, d] : out.distinct) d = std::min(d, out.rows);
+  return out;
+}
+
+// #-hypertree (Theorem 3.7 pipeline): every bag's guard join is
+// materialized (each intermediate of a multi-atom guard is written out),
+// every core atom is semijoined into its bag, and the full reducer probes
+// every bag once more.
+double EstimateSharpMs(const SharpDecomposition& d, const ConjunctiveQuery& q,
+                       const DataProfile& profile) {
+  double probes = 0.0;
+  double materialized = 0.0;
+  std::vector<double> bag_rows(d.tree.bags.size(), 0.0);
+  for (std::size_t v = 0; v < d.tree.bags.size(); ++v) {
+    // V^k views are always guard-defined: atoms of q, joined in order.
+    const std::vector<int>& guard =
+        d.views.guards[static_cast<std::size_t>(d.tree.view_ids[v])];
+    SHARPCQ_DCHECK(!guard.empty());
+    RelEstimate joined =
+        EstimateAtom(q.atoms()[static_cast<std::size_t>(guard[0])], profile);
+    for (std::size_t g = 1; g < guard.size(); ++g) {
+      joined = EstimateJoin(
+          joined, EstimateAtom(q.atoms()[static_cast<std::size_t>(guard[g])],
+                               profile));
+      materialized += joined.rows;
+    }
+    bag_rows[v] = joined.rows;
+    probes += bag_rows[v];
+  }
+  for (const Atom& atom : d.core.atoms()) {
+    const IdSet vars = atom.Vars();
+    for (std::size_t v = 0; v < d.tree.bags.size(); ++v) {
+      if (!vars.IsSubsetOf(d.tree.bags[v])) continue;
+      probes += bag_rows[v];
+      break;
+    }
+  }
+  return (kProbeNs * probes + kMaterializeNs * materialized) / 1e6;
+}
+
+// PS13 over the query's own join tree, rooted as the executor's cost model
+// will root it. Full reduction probes every atom once; afterwards a
+// variable keeps at most the distinct values of its most selective atom,
+// which scales every atom down to its semijoin-reduced row count. Ps13Count
+// then stamps each child #-set against the parent's rows. A vertex's
+// #-sets are at most its free-variable partition times its children's
+// #-sets, and at most the distinct free-variable assignments of its
+// subtree.
+double EstimatePs13Ms(const ConjunctiveQuery& q, const DataProfile& profile) {
+  const std::size_t n = q.NumAtoms();
+  std::vector<RelEstimate> atoms;
+  std::vector<IdSet> edges;
+  atoms.reserve(n);
+  edges.reserve(n);
+  std::map<VarId, double> distinct;
+  double probes = 0.0;
+  for (const Atom& atom : q.atoms()) {
+    atoms.push_back(EstimateAtom(atom, profile));
+    edges.push_back(atom.Vars());
+    probes += atoms.back().rows;
+    for (const auto& [var, d] : atoms.back().distinct) {
+      auto [it, inserted] = distinct.emplace(var, d);
+      if (!inserted) it->second = std::min(it->second, d);
+    }
+  }
+  std::optional<TreeShape> shape = BuildJoinTree(edges);
+  SHARPCQ_CHECK_MSG(shape.has_value(), "PS13 estimate needs an acyclic query");
+
+  std::vector<double> reduced(n);
+  std::vector<std::uint64_t> sizes(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    reduced[a] = atoms[a].rows;
+    for (const auto& [var, d] : atoms[a].distinct) {
+      if (d > 0.0) reduced[a] *= distinct[var] / d;
+    }
+    sizes[a] = static_cast<std::uint64_t>(atoms[a].rows + 0.5);
+  }
+  auto assignments = [&distinct](const IdSet& vars) {
+    double product = 1.0;
+    for (VarId v : vars) product *= distinct[v];
+    return product;
+  };
+
+  const TreeShape rooted =
+      TreeShape::FromParents(CostModelRooting(*shape, sizes));
+  const std::vector<int> order = rooted.TopoOrder();
+  std::vector<double> sets(n, 1.0);
+  std::vector<IdSet> subtree_free(n);
+  double set_ops = 0.0;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::size_t p = static_cast<std::size_t>(*it);
+    IdSet free = Intersect(edges[p], q.free_vars());
+    double partition = std::min(reduced[p], assignments(free));
+    for (int child : rooted.children[p]) {
+      const std::size_t c = static_cast<std::size_t>(child);
+      set_ops += sets[c] * reduced[p];
+      partition *= sets[c];
+      free = Union(free, subtree_free[c]);
+    }
+    sets[p] = std::max(1.0, std::min(partition, assignments(free)));
+    subtree_free[p] = std::move(free);
+  }
+  return (kProbeNs * probes + kSetOpNs * set_ops) / 1e6;
+}
+
 }  // namespace
 
 CountingPlan MakePlan(const ConjunctiveQuery& q, const PlannerOptions& options,
@@ -100,17 +304,32 @@ CountingPlan MakePlan(const ConjunctiveQuery& q, const PlannerOptions& options,
     }
   }
 
-  if (sharp.has_value()) {
+  const bool ps13_eligible =
+      options.enable_acyclic_ps13 && AcyclicPs13Eligible(q, plan.analysis);
+  if (profile != nullptr) {
+    if (sharp.has_value()) {
+      plan.cost.sharp_ms = EstimateSharpMs(*sharp, q, *profile);
+    }
+    if (ps13_eligible) plan.cost.ps13_ms = EstimatePs13Ms(q, *profile);
+  }
+  // The structural default is the #-hypertree decomposition; the estimates
+  // override it only when PS13 is predicted clearly cheaper.
+  const bool ps13_cheaper =
+      plan.cost.sharp_ms.has_value() && plan.cost.ps13_ms.has_value() &&
+      *plan.cost.ps13_ms * kSteerMargin < *plan.cost.sharp_ms &&
+      *plan.cost.sharp_ms - *plan.cost.ps13_ms >= kMinSavingMs;
+
+  if (sharp.has_value() && !ps13_cheaper) {
     plan.strategy = PlanStrategy::kSharpHypertree;
     plan.sharp = std::move(sharp);
     plan.width_budget = plan.analysis.sharp_hypertree_width.value_or(0);
-  } else if (options.enable_acyclic_ps13 &&
-             AcyclicPs13Eligible(q, plan.analysis)) {
+  } else if (ps13_eligible) {
     plan.strategy = PlanStrategy::kAcyclicPs13;
-    // Data-aware tie-break: when the profile shows a relation with groups
-    // past the degree threshold and the hybrid gate is open, route to #b —
-    // its cost grows with the achieved degree b of a fresh decomposition,
-    // not with the instance's raw degree bound h.
+    plan.cost_model_steered = ps13_cheaper;
+    // Degree steer: when the profile shows a relation with groups past the
+    // degree threshold and the hybrid gate is open, route to #b — its cost
+    // grows with the achieved degree b of a fresh decomposition, not with
+    // the instance's raw degree bound h.
     if (profile != nullptr && options.enable_hybrid &&
         options.max_width >= 2 &&
         MaxQueryDegree(q, *profile) > kDegreeSteerThreshold) {
@@ -122,7 +341,9 @@ CountingPlan MakePlan(const ConjunctiveQuery& q, const PlannerOptions& options,
   } else {
     plan.strategy = PlanStrategy::kBacktracking;
   }
-  plan.cost = EstimateCost(plan);
+  if (!plan.cost.sharp_ms.has_value() && !plan.cost.ps13_ms.has_value()) {
+    plan.cost = EstimateCost(plan);
+  }
 
   plan.planning_ms = ElapsedMs(start);
   return plan;

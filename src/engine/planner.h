@@ -6,10 +6,9 @@
 
 namespace sharpcq {
 
-// The planner: the query-only, FPT half of counting. Runs the structural
-// classification (AnalyzeQuery — acyclicity, cores, htw, #-htw, star size)
-// and the width searches exactly once, then selects a strategy by an
-// explicit policy:
+// The planner. Runs the structural classification (AnalyzeQuery —
+// acyclicity, cores, htw, #-htw, star size) and the width searches exactly
+// once, then selects a strategy by an explicit policy:
 //
 //   1. kSharpHypertree  if some k <= max_width admits a width-k
 //                       #-hypertree decomposition (Theorem 1.3);
@@ -21,18 +20,29 @@ namespace sharpcq {
 //                       execution time);
 //   4. kBacktracking    otherwise.
 //
-// The returned plan is valid for every database and is what the engine's
-// PlanCache stores. MakePlan touches no shared state (concurrent calls are
-// safe, even on the same query); a finished plan is immutable — published
-// as shared_ptr<const CountingPlan> and safe to execute from any thread.
+// Without a profile this order is the whole policy, and the plan is valid
+// for every database. MakePlan touches no shared state (concurrent calls
+// are safe, even on the same query); a finished plan is immutable —
+// published as shared_ptr<const CountingPlan> and safe to execute from any
+// thread.
 //
 // `profile` (optional) is the current generation's data statistics
-// (algebra/stats.h). It only breaks ties the structural policy leaves open
-// — today: an acyclic query over a heavy-degree instance routes to kSharpB
-// instead of kAcyclicPs13, since PS13's 4^h factor is exponential in the
-// degree bound while #b re-decomposes around it. A plan built with a
-// profile is only valid for databases in the same profile class, which is
-// why the engine folds the profile fingerprint into its cache key.
+// (algebra/stats.h); with it the choice between the exact strategies is
+// cost-based, because which one is cheaper depends on the data as well as
+// the query (the #-hypertree pays for m^k-sized bags, PS13 for the
+// instance's degree):
+//   - when both a #-hypertree decomposition and PS13 are candidates, each
+//     gets an estimated wall time from the profile's row and distinct
+//     counts — the sizes of the bags' guard joins against PS13's reduced
+//     rows and #-set work (CostEstimate) — and PS13 replaces the
+//     structural choice when it is predicted clearly cheaper;
+//   - when PS13 is chosen and a relation's largest group passes the degree
+//     threshold, the hybrid #b route replaces it, since PS13's 4^h factor is
+//     exponential in the degree bound while #b re-decomposes around it.
+// Either override sets cost_model_steered. A plan built with a profile is
+// only valid for databases in the same profile class, which is why the
+// engine folds the profile fingerprint into its cache key; the estimates
+// read only the statistics the fingerprint classes.
 struct DataProfile;
 CountingPlan MakePlan(const ConjunctiveQuery& q,
                       const PlannerOptions& options = {},

@@ -4,10 +4,17 @@
 // because the model only reorders exact algorithms. The differential suite
 // here runs 200+ random instances (including skewed/heavy-tail data and
 // columnar snapshot-backed databases) through both settings.
+//
+// The strategy-choice suite pins the data-aware planner: which exact
+// strategy `auto` runs on the shapes whose best strategy depends on the
+// data, and a differential over acyclic instances from both regimes
+// (auto == forced #-hypertree == forced PS13 == backtracking).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,9 +24,11 @@
 #include "algebra/table.h"
 #include "count/enumeration.h"
 #include "engine/engine.h"
+#include "engine/planner.h"
 #include "gen/random_gen.h"
 #include "query/parser.h"
 #include "storage/snapshot.h"
+#include "util/trace.h"
 
 namespace sharpcq {
 namespace {
@@ -360,6 +369,319 @@ TEST(CostModelDifferentialTest, MorselForcedCostModelAgrees) {
     EXPECT_EQ(on.Count(c.query, c.db).count, off.Count(c.query, c.db).count)
         << "seed " << c.seed;
   }
+}
+
+// --- strategy choice -------------------------------------------------------
+
+// splitmix64: the data below is a pure function of the seed.
+std::uint64_t NextRandom(std::uint64_t* state) {
+  std::uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+// `rows` distinct pairs drawn uniformly from [0,domain) x [0,domain).
+void AddRandomPairs(Database* db, const std::string& name, int rows,
+                    int domain, std::uint64_t* state) {
+  std::set<std::pair<Value, Value>> seen;
+  while (static_cast<int>(seen.size()) < rows) {
+    const Value a = static_cast<Value>(NextRandom(state) % domain);
+    const Value b = static_cast<Value>(NextRandom(state) % domain);
+    if (seen.emplace(a, b).second) db->AddTuple(name, {a, b});
+  }
+}
+
+// The mapped load of a v2 snapshot of `db`: columnar tables with persisted
+// stats, the shape a catalog serves.
+Database ViaSnapshot(const Database& db) {
+  const std::string path = MakeScratchDir() + "/db.sharpcq";
+  Status error;
+  EXPECT_TRUE(WriteSnapshot(db, nullptr, path, &error).has_value()) << error;
+  auto loaded = LoadSnapshot(path, SnapshotLoadMode::kMapped, &error);
+  EXPECT_TRUE(loaded.has_value()) << error;
+  return std::move(loaded->db);
+}
+
+ConjunctiveQuery ParseOrDie(const std::string& text) {
+  auto q = ParseQuery(text);
+  EXPECT_TRUE(q.has_value()) << text;
+  return *q;
+}
+
+CountingPlan PlanWithProfile(const std::string& query, const Database& db) {
+  const DataProfile profile = BuildDataProfile(db);
+  return MakePlan(ParseOrDie(query), PlannerOptions{}, &profile);
+}
+
+constexpr const char* kChain4 = "Q(A,E) <- ca(A,B), cb(B,C), cc(C,D), cd(D,E)";
+constexpr const char* kSkewedStar =
+    "Q(X) <- center(X,P), la(X), lb(X), lc(X), sel(X)";
+
+// The 4-chain: each relation `rows` pairs over a `domain`-value domain.
+Database ChainDatabase(int rows, int domain) {
+  std::uint64_t state = 1;
+  Database db;
+  for (const char* name : {"ca", "cb", "cc", "cd"}) {
+    AddRandomPairs(&db, name, rows, domain, &state);
+  }
+  return ViaSnapshot(db);
+}
+
+// serve_hot's relations: s1..s4, 3000 pairs over 1500 values.
+Database ServeDatabase() {
+  std::uint64_t state = 2;
+  Database db;
+  for (const char* name : {"s1", "s2", "s3", "s4"}) {
+    AddRandomPairs(&db, name, 3000, 1500, &state);
+  }
+  return ViaSnapshot(db);
+}
+
+// bench_cost_model's skewed star at a quarter of its size: a center with two
+// rows per X, three leaves covering every X, and a 10-row filter.
+Database SkewedStarDatabase() {
+  constexpr int kDomain = 25000;
+  Database db;
+  for (int i = 0; i < 2 * kDomain; ++i) db.AddTuple("center", {i % kDomain, i});
+  for (int x = 0; x < kDomain; ++x) {
+    db.AddTuple("la", {x});
+    db.AddTuple("lb", {x});
+    db.AddTuple("lc", {x});
+  }
+  for (int s = 0; s < 10; ++s) db.AddTuple("sel", {s * (kDomain / 10)});
+  return ViaSnapshot(db);
+}
+
+TEST(StrategyChoiceTest, CrossProductChainRunsPs13) {
+  // Both width-2 bags are guarded by atom pairs that share no variable:
+  // each guard join is a 4M-row cross product, PS13 does ~4M set tests.
+  const Database db = ChainDatabase(2000, 700);
+  const CountingPlan plan = PlanWithProfile(kChain4, db);
+  EXPECT_EQ(plan.strategy, PlanStrategy::kAcyclicPs13);
+  EXPECT_TRUE(plan.cost_model_steered);
+  ASSERT_TRUE(plan.cost.sharp_ms.has_value());
+  ASSERT_TRUE(plan.cost.ps13_ms.has_value());
+  EXPECT_GT(*plan.cost.sharp_ms, 10.0 * *plan.cost.ps13_ms);
+}
+
+TEST(StrategyChoiceTest, ServeShapesKeepTheSharpHypertree) {
+  // Small guard joins against PS13 #-sets in the thousands: the
+  // #-hypertree is 6x-150x faster on these, and must stay the choice.
+  const Database db = ServeDatabase();
+  for (const char* query : {
+           "Q(A,B,C) <- s1(X,A), s2(X,B), s3(X,C)",     // star3_leaves
+           "Q(A) <- s1(A,B), s2(B,C), s3(C,D), s4(D,E)",  // path4
+           "Q(A,C) <- s1(A,B), s2(B,C)",                  // path2
+           "Q(X,A,B,C) <- s1(X,A), s2(X,B), s3(X,C)",     // star3
+       }) {
+    const CountingPlan plan = PlanWithProfile(query, db);
+    EXPECT_EQ(plan.strategy, PlanStrategy::kSharpHypertree) << query;
+    EXPECT_FALSE(plan.cost_model_steered) << query;
+    EXPECT_TRUE(plan.cost.sharp_ms.has_value()) << query;
+    EXPECT_TRUE(plan.cost.ps13_ms.has_value()) << query;
+  }
+}
+
+TEST(StrategyChoiceTest, SkewedStarRunsPs13) {
+  // The width-1 bag is the whole center, semijoined with all five atoms;
+  // PS13 reduces everything to sel's 10 values first.
+  const Database db = SkewedStarDatabase();
+  const CountingPlan plan = PlanWithProfile(kSkewedStar, db);
+  EXPECT_EQ(plan.strategy, PlanStrategy::kAcyclicPs13);
+  EXPECT_TRUE(plan.cost_model_steered);
+
+  CountingEngine engine;
+  const CountResult result = engine.Count(ParseOrDie(kSkewedStar), db);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.method, "acyclic-ps13");
+  EXPECT_EQ(result.count, CountInt{10});
+}
+
+TEST(StrategyChoiceTest, NoProfileKeepsTheStructuralChoice) {
+  for (const char* query : {kChain4, kSkewedStar}) {
+    const CountingPlan plan = MakePlan(ParseOrDie(query));
+    EXPECT_EQ(plan.strategy, PlanStrategy::kSharpHypertree) << query;
+    EXPECT_FALSE(plan.cost_model_steered) << query;
+    EXPECT_FALSE(plan.cost.sharp_ms.has_value()) << query;
+    EXPECT_FALSE(plan.cost.ps13_ms.has_value()) << query;
+    EXPECT_GT(plan.cost.db_exponent, 0.0) << query;
+  }
+  // The engine with its cost model off plans without a profile.
+  EngineOptions off;
+  off.enable_cost_model = false;
+  CountingEngine blind(off);
+  EXPECT_EQ(blind.Plan(ParseOrDie(kChain4)).plan->strategy,
+            PlanStrategy::kSharpHypertree);
+}
+
+const TraceNode* FindSpan(const TraceNode& node, const std::string& name) {
+  for (const auto& child : node.children) {
+    if (child->name == name) return child.get();
+  }
+  return nullptr;
+}
+
+const std::string* FindSpanNote(const TraceNode& node, const std::string& key) {
+  for (const auto& [k, v] : node.notes) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+TEST(StrategyChoiceTest, PlanSpanAndDebugStringExplainTheChoice) {
+  const Database chain = ChainDatabase(2000, 700);
+  CountingEngine engine;
+  Trace trace;
+  const CountResult steered = engine.Count(ParseOrDie(kChain4), chain,
+                                           PlannerOptions{}, nullptr, &trace);
+  ASSERT_TRUE(steered.ok());
+  EXPECT_EQ(steered.method, "acyclic-ps13");
+  EXPECT_TRUE(steered.cost_model_steered);
+  const TraceNode* plan = FindSpan(trace.root(), "plan");
+  ASSERT_NE(plan, nullptr);
+  ASSERT_NE(FindSpanNote(*plan, "strategy"), nullptr);
+  EXPECT_EQ(*FindSpanNote(*plan, "strategy"), "acyclic-ps13");
+  ASSERT_NE(FindSpanNote(*plan, "est_sharp"), nullptr);
+  ASSERT_NE(FindSpanNote(*plan, "est_ps13"), nullptr);
+  EXPECT_GT(std::stod(*FindSpanNote(*plan, "est_sharp")),
+            std::stod(*FindSpanNote(*plan, "est_ps13")));
+  ASSERT_NE(FindSpanNote(*plan, "cost_model"), nullptr);
+  EXPECT_EQ(*FindSpanNote(*plan, "cost_model"), "steered");
+
+  const std::string debug = PlanWithProfile(kChain4, chain).DebugString();
+  EXPECT_NE(debug.find("strategy: acyclic-ps13"), std::string::npos) << debug;
+  EXPECT_NE(debug.find("est_sharp="), std::string::npos) << debug;
+  EXPECT_NE(debug.find("est_ps13="), std::string::npos) << debug;
+  EXPECT_NE(debug.find("(steered)"), std::string::npos) << debug;
+
+  // The structural choice standing: both estimates noted, nothing steered.
+  const Database serve = ServeDatabase();
+  const char* path4 = "Q(A) <- s1(A,B), s2(B,C), s3(C,D), s4(D,E)";
+  Trace kept;
+  ASSERT_TRUE(engine
+                  .Count(ParseOrDie(path4), serve, PlannerOptions{}, nullptr,
+                         &kept)
+                  .ok());
+  plan = FindSpan(kept.root(), "plan");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(*FindSpanNote(*plan, "strategy"), "sharp-hypertree");
+  EXPECT_NE(FindSpanNote(*plan, "est_sharp"), nullptr);
+  EXPECT_NE(FindSpanNote(*plan, "est_ps13"), nullptr);
+  EXPECT_EQ(FindSpanNote(*plan, "cost_model"), nullptr);
+  const std::string kept_debug = PlanWithProfile(path4, serve).DebugString();
+  EXPECT_NE(kept_debug.find("est_ps13="), std::string::npos) << kept_debug;
+  EXPECT_EQ(kept_debug.find("(steered)"), std::string::npos) << kept_debug;
+}
+
+// An acyclic instance from one of four families: chains with both ends
+// free (cross-product guards: the PS13 regime), stars with free leaves and
+// an existential center, stars and paths whose free variables sit in
+// single atoms (the #-hypertree regime), and random acyclic queries.
+struct ChoiceCase {
+  ConjunctiveQuery query;
+  Database db;
+};
+
+ChoiceCase MakeChoiceCase(std::uint64_t seed) {
+  std::uint64_t state = seed * 0x2545F4914F6CDD1Dull + 7;
+  const int domain = 8 + static_cast<int>(NextRandom(&state) % 40);
+  int rows = std::min(30 + static_cast<int>(NextRandom(&state) % 90),
+                      domain * domain / 2);
+  const int length = 3 + static_cast<int>(NextRandom(&state) % 3);
+  std::string text;
+  std::vector<std::string> relations;
+  switch (seed % 4) {
+    case 0: {  // chain, both ends free
+      std::string body;
+      for (int i = 0; i < length; ++i) {
+        relations.push_back("r" + std::to_string(i));
+        body += (i > 0 ? ", " : "") + relations.back() + "(X" +
+                std::to_string(i) + ",X" + std::to_string(i + 1) + ")";
+      }
+      text = "Q(X0,X" + std::to_string(length) + ") <- " + body;
+      break;
+    }
+    case 1: {  // star, three free leaves, existential center
+      // Backtracking visits every answer, and answers grow as degree^3
+      // here: keep the relations small.
+      rows = std::min(rows, 50);
+      std::string head;
+      std::string body;
+      for (int i = 0; i < 3; ++i) {
+        relations.push_back("r" + std::to_string(i));
+        head += (i > 0 ? "," : "") + std::string("L") + std::to_string(i);
+        body += (i > 0 ? ", " : "") + relations.back() + "(C,L" +
+                std::to_string(i) + ")";
+      }
+      text = "Q(" + head + ") <- " + body;
+      break;
+    }
+    case 2: {  // path with one free end
+      std::string body;
+      for (int i = 0; i < length; ++i) {
+        relations.push_back("r" + std::to_string(i));
+        body += (i > 0 ? ", " : "") + relations.back() + "(X" +
+                std::to_string(i) + ",X" + std::to_string(i + 1) + ")";
+      }
+      text = "Q(X0) <- " + body;
+      break;
+    }
+    default: {
+      RandomQueryParams qp;
+      qp.num_vars = 4 + static_cast<int>(seed % 3);
+      qp.num_atoms = 3 + static_cast<int>(seed % 3);
+      qp.max_arity = 2;
+      qp.num_free = 1 + static_cast<int>(seed % 3);
+      qp.num_relations = 3;
+      qp.force_acyclic = true;
+      qp.seed = seed;
+      ChoiceCase c;
+      c.query = MakeRandomQuery(qp);
+      RandomDatabaseParams dp;
+      dp.domain = domain;
+      dp.tuples_per_relation = rows;
+      dp.seed = seed;
+      c.db = MakeRandomDatabase(c.query, dp);
+      return c;
+    }
+  }
+  ChoiceCase c;
+  c.query = ParseOrDie(text);
+  for (const std::string& name : relations) {
+    AddRandomPairs(&c.db, name, rows, domain, &state);
+  }
+  return c;
+}
+
+TEST(StrategyChoiceDifferentialTest, AutoAgreesWithEveryForcedStrategy) {
+  CountingEngine engine;  // cost model on: `auto` reads the data profile
+  const auto sharp = PlannerOptionsForStrategy("sharp", PlannerOptions{});
+  const auto ps13 = PlannerOptionsForStrategy("ps13", PlannerOptions{});
+  ASSERT_TRUE(sharp.has_value() && ps13.has_value());
+  int auto_ps13 = 0;
+  int auto_sharp = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    ChoiceCase c = MakeChoiceCase(seed);
+    // Half the instances carry persisted column stats, half only row
+    // counts (row-major relations).
+    const Database db = seed % 2 == 0 ? ViaSnapshot(c.db) : std::move(c.db);
+    const CountResult chosen = engine.Count(c.query, db);
+    ASSERT_TRUE(chosen.ok()) << "seed " << seed;
+    const CountInt expected = CountByBacktracking(c.query, db);
+    EXPECT_EQ(chosen.count, expected)
+        << "seed " << seed << " via " << chosen.method;
+    EXPECT_EQ(engine.Count(c.query, db, *sharp).count, expected)
+        << "seed " << seed;
+    EXPECT_EQ(engine.Count(c.query, db, *ps13).count, expected)
+        << "seed " << seed;
+    if (chosen.method == "acyclic-ps13") ++auto_ps13;
+    if (chosen.method.rfind("#-hypertree", 0) == 0) ++auto_sharp;
+  }
+  // Both regimes are exercised: the estimates moved some instances off the
+  // structural choice and left others on it.
+  EXPECT_GE(auto_ps13, 30);
+  EXPECT_GE(auto_sharp, 30);
 }
 
 // --- concurrency -----------------------------------------------------------

@@ -13,21 +13,26 @@
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <new>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "algebra/exec_policy.h"
 #include "algebra/table.h"
 #include "data/csv.h"
 #include "engine/engine.h"
@@ -40,6 +45,7 @@
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace sharpcq {
 namespace {
@@ -503,6 +509,121 @@ TEST(MemoryBudgetEngineTest, InjectedIndexBuildFailureIsResourceExhausted) {
   EXPECT_EQ(result.status, CountStatus::kResourceExhausted);
   failpoint::DisarmAll();
   EXPECT_TRUE(engine.Count(Parse(kSmallQuery), SmallDatabase()).ok());
+}
+
+// --- std::bad_alloc at the engine boundary ------------------------------------
+
+// Sanitizer runtimes reserve terabytes of shadow address space up front, so
+// an RLIMIT_AS cap cannot be applied under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kAddressSpaceLimitUsable = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kAddressSpaceLimitUsable = false;
+#else
+constexpr bool kAddressSpaceLimitUsable = true;
+#endif
+#else
+constexpr bool kAddressSpaceLimitUsable = true;
+#endif
+
+TEST(OutOfMemoryTest, UnbudgetedBadAllocIsResourceExhausted) {
+  if (!kAddressSpaceLimitUsable) {
+    GTEST_SKIP() << "RLIMIT_AS cannot be applied under a sanitizer runtime";
+  }
+  // The 4-chain at 6000 rows over 2000 values: forced to the width-2
+  // #-hypertree, each bag is a 36M-row cross product (3.47 GB), far past
+  // the child's 1 GB address space. No budget is configured, so nothing
+  // refuses the allocation ahead of time: it fails with std::bad_alloc.
+  Database db;
+  std::mt19937_64 rng(6000);
+  for (const char* name : {"ca", "cb", "cc", "cd"}) {
+    std::set<std::pair<Value, Value>> seen;
+    while (seen.size() < 6000) {
+      const Value a = static_cast<Value>(rng() % 2000);
+      const Value b = static_cast<Value>(rng() % 2000);
+      if (seen.emplace(a, b).second) db.AddTuple(name, {a, b});
+    }
+  }
+  const ConjunctiveQuery q =
+      Parse("Q(A,E) <- ca(A,B), cb(B,C), cc(C,D), cd(D,E)");
+  const auto sharp = PlannerOptionsForStrategy("sharp", PlannerOptions{});
+  ASSERT_TRUE(sharp.has_value());
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: exit 0 iff the count came back RESOURCE_EXHAUSTED and the
+    // engine still answers a small count afterwards. A std::bad_alloc
+    // escaping a pool worker would abort the child instead.
+    struct rlimit limit;
+    limit.rlim_cur = limit.rlim_max = rlim_t{1} << 30;
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(10);
+    try {
+      CountingEngine engine;
+      const CountResult result = engine.Count(q, db, *sharp);
+      if (result.status != CountStatus::kResourceExhausted) {
+        ::_exit(result.ok() ? 11 : 12);
+      }
+      if (!engine.Count(Parse(kSmallQuery), SmallDatabase()).ok()) {
+        ::_exit(13);
+      }
+    } catch (const std::bad_alloc&) {
+      ::_exit(14);
+    }
+    ::_exit(0);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus))
+      << "child died with signal " << WTERMSIG(wstatus)
+      << " (std::bad_alloc escaped the engine)";
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0)
+      << "10: setrlimit failed, 11: the count succeeded, 12: another "
+         "status, 13: the engine failed afterwards, 14: std::bad_alloc "
+         "escaped Count";
+}
+
+TEST(OutOfMemoryTest, MorselBadAllocReachesTheCallingThread) {
+  // A morsel body that runs out of memory on a pool worker: the parallel
+  // loop stops, drains, and the caller rethrows — the exception never
+  // escapes the worker (which would be std::terminate). The caller's own
+  // chunk waits until a worker has claimed one, so the failure is on a
+  // worker every run.
+  ThreadPool pool(3);
+  ExecPolicy policy;
+  policy.pool = [&pool] { return &pool; };
+  policy.morsel_rows = 4;
+  policy.row_threshold = 1;
+  ExecScope scope(std::move(policy));
+  constexpr std::size_t kRows = 256;
+  const MorselPlan plan = PlanMorsels(kRows);
+  ASSERT_TRUE(plan.parallel);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> worker_failed{false};
+  EXPECT_THROW(
+      RunMorsels(plan, kRows,
+                 [&](std::size_t, std::size_t, std::size_t) {
+                   if (std::this_thread::get_id() != caller) {
+                     worker_failed.store(true);
+                     throw std::bad_alloc();
+                   }
+                   const auto give_up = std::chrono::steady_clock::now() +
+                                        std::chrono::seconds(10);
+                   while (!worker_failed.load() &&
+                          std::chrono::steady_clock::now() < give_up) {
+                     std::this_thread::yield();
+                   }
+                 }),
+      std::bad_alloc);
+  EXPECT_TRUE(worker_failed.load());
+
+  // The pool and the loop stay usable.
+  std::atomic<std::size_t> rows{0};
+  RunMorsels(plan, kRows, [&](std::size_t, std::size_t begin, std::size_t end) {
+    rows.fetch_add(end - begin);
+  });
+  EXPECT_EQ(rows.load(), kRows);
 }
 
 // --- daemon budgets ----------------------------------------------------------
