@@ -6,9 +6,9 @@
 // legitimate but measure assertion-laden code. SHARPCQ_BENCH_MAIN() closes
 // that hole by keying off this translation unit's NDEBUG:
 //
-//   - every run stamps "sharpcq_build_type" into the benchmark context, so
-//     committed BENCH_*.json files carry the truth about the binary that
-//     produced them;
+//   - every run stamps "sharpcq_build_type" (and the host's "cpu_model")
+//     into the benchmark context, so committed BENCH_*.json files carry the
+//     truth about the binary and the machine that produced them;
 //   - a Debug binary prints a prominent warning banner, and REFUSES to run
 //     when asked for machine-readable output (--benchmark_format=json or
 //     --benchmark_out=...) — numbers from an unoptimized build must never
@@ -23,6 +23,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <string>
 
 namespace sharpcq {
 namespace bench_internal {
@@ -44,9 +46,24 @@ inline bool WantsMachineOutput(int argc, char** argv) {
   return false;
 }
 
+// The "model name" line of /proc/cpuinfo; "unknown" where there is none.
+inline std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
 inline int RunBenchmarks(int argc, char** argv) {
   benchmark::AddCustomContext("sharpcq_build_type",
                               kOptimizedBuild ? "optimized" : "debug");
+  benchmark::AddCustomContext("cpu_model", CpuModel());
   if (!kOptimizedBuild) {
     if (WantsMachineOutput(argc, argv)) {
       std::fprintf(stderr,

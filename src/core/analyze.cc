@@ -14,8 +14,8 @@ QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max) {
 }
 
 QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max,
-                           std::size_t max_cores,
-                           AnalysisArtifacts* artifacts) {
+                           std::size_t max_cores, AnalysisArtifacts* artifacts,
+                           const GuardedBagCost& sharp_bag_cost) {
   QueryAnalysis a;
   a.num_atoms = q.NumAtoms();
   a.num_vars = q.AllVars().size();
@@ -28,11 +28,9 @@ QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max,
   // The single #-hypertree width search: the smallest k admitting a width-k
   // decomposition, with the witness kept for reuse instead of being
   // recomputed by every downstream counting call.
-  std::optional<SharpDecomposition> sharp;
-  for (int k = 1; k <= k_max && !sharp.has_value(); ++k) {
-    sharp = FindSharpHypertreeDecomposition(q, k, max_cores);
-    if (sharp.has_value()) a.sharp_hypertree_width = k;
-  }
+  std::optional<SharpWidthSearch> sharp =
+      SearchSharpHypertreeWidth(q, k_max, max_cores, sharp_bag_cost);
+  if (sharp.has_value()) a.sharp_hypertree_width = sharp->k;
 
   ConjunctiveQuery core = ComputeColoredCore(q);
   a.core_atoms = core.NumAtoms();
@@ -45,7 +43,7 @@ QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max,
   }
   if (artifacts != nullptr) {
     artifacts->colored_core = std::move(core);
-    artifacts->sharp = std::move(sharp);
+    if (sharp.has_value()) artifacts->sharp = std::move(sharp->decomposition);
   }
   return a;
 }

@@ -36,7 +36,9 @@ struct AnalysisArtifacts {
   // The paper's Q': a core of color(Q) with the colors stripped.
   ConjunctiveQuery colored_core;
   // The width-minimal #-hypertree decomposition found within the budget
-  // (the k achieving sharp_hypertree_width), if any.
+  // (the k achieving sharp_hypertree_width), if any: the cheapest at that
+  // width under the analysis' bag cost when one is given, otherwise one
+  // with the fewest bags.
   std::optional<SharpDecomposition> sharp;
 };
 
@@ -45,10 +47,13 @@ struct AnalysisArtifacts {
 QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max = 4);
 
 // Same, with `max_cores` substructure cores tried per width and the
-// artifacts exported (pass nullptr to discard them).
+// artifacts exported (pass nullptr to discard them). `sharp_bag_cost`
+// weights the bags of the #-hypertree search (the planner's data-derived
+// cost); it changes which minimal-width decomposition is kept, never the
+// width or any other field of the profile.
 QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max,
-                           std::size_t max_cores,
-                           AnalysisArtifacts* artifacts);
+                           std::size_t max_cores, AnalysisArtifacts* artifacts,
+                           const GuardedBagCost& sharp_bag_cost = nullptr);
 
 }  // namespace sharpcq
 

@@ -22,11 +22,11 @@ std::vector<IdSet> SharpCoverEdges(const ConjunctiveQuery& core,
 
 namespace {
 
-std::optional<SharpDecomposition> TryCore(ConjunctiveQuery core,
-                                          const IdSet& free,
-                                          const ViewSet& views) {
+std::optional<SharpDecomposition> TryCore(
+    ConjunctiveQuery core, const IdSet& free, const ViewSet& views,
+    const TreeProjectionOptions& options) {
   std::vector<IdSet> cover = SharpCoverEdges(core, free);
-  auto projection = FindTreeProjection(cover, views);
+  auto projection = FindTreeProjection(cover, views, options);
   if (!projection.has_value()) return std::nullopt;
   SharpDecomposition d;
   d.core = std::move(core);
@@ -39,12 +39,13 @@ std::optional<SharpDecomposition> TryCore(ConjunctiveQuery core,
 }  // namespace
 
 std::optional<SharpDecomposition> FindSharpDecomposition(
-    const ConjunctiveQuery& q, const ViewSet& views, std::size_t max_cores) {
+    const ConjunctiveQuery& q, const ViewSet& views, std::size_t max_cores,
+    const TreeProjectionOptions& options) {
   // Fast path: the greedy core usually works; full core enumeration (which
   // is exponential in the query) only runs when the first core fails
   // against the views (Example 3.5).
   std::optional<SharpDecomposition> first =
-      TryCore(ComputeColoredCore(q), q.free_vars(), views);
+      TryCore(ComputeColoredCore(q), q.free_vars(), views, options);
   if (first.has_value() || max_cores <= 1) return first;
 
   bool skipped_first = false;
@@ -55,22 +56,40 @@ std::optional<SharpDecomposition> FindSharpDecomposition(
       continue;
     }
     std::optional<SharpDecomposition> d =
-        TryCore(std::move(core), q.free_vars(), views);
+        TryCore(std::move(core), q.free_vars(), views, options);
     if (d.has_value()) return d;
   }
   return std::nullopt;
 }
 
 std::optional<SharpDecomposition> FindSharpHypertreeDecomposition(
-    const ConjunctiveQuery& q, int k, std::size_t max_cores) {
-  return FindSharpDecomposition(q, BuildVk(q, k), max_cores);
+    const ConjunctiveQuery& q, int k, std::size_t max_cores,
+    const GuardedBagCost& bag_cost) {
+  const ViewSet views = BuildVk(q, k);
+  TreeProjectionOptions options;
+  if (bag_cost) {
+    options.bag_cost = [&](const IdSet& bag, int view_id) {
+      return bag_cost(bag, views.guards[static_cast<std::size_t>(view_id)]);
+    };
+  }
+  return FindSharpDecomposition(q, views, max_cores, options);
+}
+
+std::optional<SharpWidthSearch> SearchSharpHypertreeWidth(
+    const ConjunctiveQuery& q, int k_max, std::size_t max_cores,
+    const GuardedBagCost& bag_cost) {
+  for (int k = 1; k <= k_max; ++k) {
+    std::optional<SharpDecomposition> d =
+        FindSharpHypertreeDecomposition(q, k, max_cores, bag_cost);
+    if (d.has_value()) return SharpWidthSearch{k, std::move(*d)};
+  }
+  return std::nullopt;
 }
 
 std::optional<int> SharpHypertreeWidth(const ConjunctiveQuery& q, int k_max) {
-  for (int k = 1; k <= k_max; ++k) {
-    if (FindSharpHypertreeDecomposition(q, k).has_value()) return k;
-  }
-  return std::nullopt;
+  std::optional<SharpWidthSearch> search = SearchSharpHypertreeWidth(q, k_max);
+  if (!search.has_value()) return std::nullopt;
+  return search->k;
 }
 
 }  // namespace sharpcq

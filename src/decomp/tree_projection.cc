@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "hypergraph/acyclic.h"
 #include "util/check.h"
@@ -118,13 +117,12 @@ class TreeProjector {
     return Intersect(bag, touched);
   }
 
-  // Evaluates candidate bag `bag` (guarded by view `view_id`) for
-  // (component, conn); returns its cost and child keys or infeasible.
-  double TryCandidate(const IdSet& component, const IdSet& bag, int view_id,
-                      std::vector<Key>* child_keys) {
-    double cost = options_.bag_cost ? options_.bag_cost(bag, view_id) : 1.0;
-    if (cost == kInfeasible) return kInfeasible;
-    child_keys->clear();
+  // Decomposes (component \ bag) below candidate bag `bag`; returns the
+  // children's summed cost and their keys, or infeasible. The children
+  // depend on the bag alone, not on the view guarding it.
+  double SolveChildren(const IdSet& component, const IdSet& bag,
+                       std::vector<Key>* child_keys) {
+    double cost = 0.0;
     for (IdSet& child : ComponentsWithin(component, bag)) {
       IdSet connector = ConnectorOf(child, bag);
       Key key{std::move(child), std::move(connector)};
@@ -148,8 +146,13 @@ class TreeProjector {
     const IdSet& conn = key.second;
     IdSet scope = Union(component, conn);
 
-    std::unordered_set<IdSet, IdSetHash> tried;
-    std::vector<Key> child_keys;
+    // A bag reached from several views is decomposed once; each view then
+    // adds only its own bag cost.
+    struct Children {
+      double cost = 0.0;
+      std::vector<Key> keys;
+    };
+    std::unordered_map<IdSet, Children, IdSetHash> children_of;
     for (std::size_t v = 0; v < views_.size(); ++v) {
       IdSet maximal = Intersect(views_.vars[v], scope);
       if (!conn.IsSubsetOf(maximal)) continue;
@@ -175,16 +178,22 @@ class TreeProjector {
       }
 
       for (IdSet& bag : candidates) {
-        if (options_.bag_cost == nullptr && !tried.insert(bag).second) {
-          continue;  // same bag from another view: same cost, skip
+        const double own = options_.bag_cost
+                               ? options_.bag_cost(bag, static_cast<int>(v))
+                               : 1.0;
+        // Costs are nonnegative: a bag that alone reaches the best total
+        // cannot improve on it, whatever its children.
+        if (own >= entry.cost) continue;
+        auto [it, fresh] = children_of.try_emplace(bag);
+        if (fresh) {
+          it->second.cost = SolveChildren(component, bag, &it->second.keys);
         }
-        double cost = TryCandidate(component, bag, static_cast<int>(v),
-                                   &child_keys);
+        const double cost = own + it->second.cost;
         if (cost < entry.cost) {
           entry.cost = cost;
-          entry.bag = bag;
+          entry.bag = std::move(bag);
           entry.view_id = static_cast<int>(v);
-          entry.child_keys = child_keys;
+          entry.child_keys = it->second.keys;
         }
       }
     }

@@ -26,8 +26,10 @@ struct BagTree {
 
 struct TreeProjectionOptions {
   // Optional per-bag cost; the search minimizes the total cost over bags.
-  // Default: pure existence (all bags cost 1, minimizing vertex count).
-  // Used by the D-optimal weighted decompositions of Theorem C.5.
+  // Costs must be nonnegative (infinity marks an unusable bag). Default:
+  // pure existence (all bags cost 1, minimizing vertex count). Used by the
+  // D-optimal weighted decompositions of Theorem C.5 and by the planner's
+  // data-weighted #-hypertree choice (engine/planner.cc).
   std::function<double(const IdSet& bag, int view_id)> bag_cost;
 
   // When true, candidate bags range over *all* subsets of

@@ -152,6 +152,9 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
     span.Note("strategy", PlanStrategyName(planned.plan->strategy));
     span.Note("cache", planned.cache_hit ? "hit" : "miss");
     span.NoteCount("cache_shard", planned.cache_shard);
+    if (planned.plan->sharp.has_value()) {
+      span.NoteCount("bags", planned.plan->sharp->tree.bags.size());
+    }
     const CostEstimate& cost = planned.plan->cost;
     if (cost.sharp_ms.has_value()) span.NoteMs("est_sharp", *cost.sharp_ms);
     if (cost.ps13_ms.has_value()) span.NoteMs("est_ps13", *cost.ps13_ms);

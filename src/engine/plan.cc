@@ -1,5 +1,7 @@
 #include "engine/plan.h"
 
+#include <cmath>
+
 namespace sharpcq {
 
 const char* PlanStrategyName(PlanStrategy strategy) {
@@ -57,6 +59,33 @@ std::string CountingPlan::DebugString() const {
     out += "\ncost: ~" + Short(cost.query_factor) + " * m^" +
            Short(cost.db_exponent);
     if (!cost.note.empty()) out += " " + cost.note;
+  }
+  if (sharp.has_value()) {
+    // Each bag with its guard atoms (and, with a profile, the estimated
+    // rows of the guard join): what the decomposition choice weighed.
+    const BagTree& tree = sharp->tree;
+    out += "\ndecomposition: " + std::to_string(tree.bags.size()) + " bag" +
+           (tree.bags.size() == 1 ? "" : "s");
+    for (std::size_t b = 0; b < tree.bags.size(); ++b) {
+      out += "\n  bag " + std::to_string(b) + " {";
+      bool first = true;
+      for (VarId v : tree.bags[b]) {
+        if (!first) out += ",";
+        first = false;
+        out += query.VarName(v);
+      }
+      out += "} guard";
+      const std::vector<int>& guard =
+          sharp->views.guards[static_cast<std::size_t>(tree.view_ids[b])];
+      for (std::size_t g = 0; g < guard.size(); ++g) {
+        out += (g > 0 ? ", " : " ") +
+               query.AtomDebugString(
+                   query.atoms()[static_cast<std::size_t>(guard[g])]);
+      }
+      if (b < cost.bag_rows.size()) {
+        out += " est_rows=" + Short(std::round(cost.bag_rows[b]));
+      }
+    }
   }
   out += "\n" + analysis.ToString();
   return out;

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/analyze.h"
 #include "core/sharp_decomposition.h"
@@ -57,7 +58,8 @@ struct PlannerOptions {
 // each exact candidate from the profile's row and distinct counts: the
 // #-hypertree's guard-join sizes against PS13's reduced rows and #-set
 // work (engine/planner.cc documents the model and its calibration). These
-// are cardinality estimates, and they pick the strategy. Without a profile,
+// are cardinality estimates; they pick the #-hypertree decomposition (the
+// cheapest of minimal width) and the strategy. Without a profile,
 // or when no candidate has an estimate, only the query-only sketch is
 // filled: the count runs in roughly
 // O(query_factor * m^db_exponent * strategy-specific blowup), m the largest
@@ -65,6 +67,9 @@ struct PlannerOptions {
 struct CostEstimate {
   std::optional<double> sharp_ms;  // the #-hypertree candidate, if found
   std::optional<double> ps13_ms;   // the PS13 candidate, if eligible
+  // With sharp_ms, when the plan runs the #-hypertree: each bag's
+  // estimated guard-join rows, parallel to CountingPlan::sharp's bags.
+  std::vector<double> bag_rows;
 
   double db_exponent = 0.0;
   double query_factor = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "algebra/stats.h"
@@ -91,31 +92,37 @@ CostEstimate EstimateCost(const CountingPlan& plan) {
 //   - set op: one PS13 #-set membership test — a child #-set stamped
 //     against every row of the parent's #-relation, in cache.
 //
-// Calibration (bench_strategy_choice's cases and serve_hot's shapes,
-// optimized build, 4-vCPU Xeon with 2 MiB L2): the skewed star's
-// #-hypertree spends 8.7 ms semijoining five atoms into its 200K-row bag
-// (~9 ns a probed row); the 2000/700 chain's two 4M-row cross-product bags
-// take 593 ms, of which ~450 ms is writing them (~60 ns a row); PS13's
-// #-set work runs 2-3 ns a membership test on the 3000/1500 path and
-// stars. Estimated vs measured ms (#-hypertree | PS13):
+// Calibration (bench_strategy_choice's cases, serve_hot's shapes and
+// count_heavy's q0, optimized build, 4-vCPU Xeon with 2 MiB L2): the skewed
+// star's #-hypertree spends 8.7 ms semijoining five atoms into its
+// 200K-row bag (~9 ns a probed row); the 2000/700 chain's fewest-bags
+// decomposition, two 4M-row cross-product bags, took 593 ms, of which
+// ~450 ms was writing them (~60 ns a row); PS13's #-set work runs 2-3 ns a
+// membership test on the 3000/1500 path and stars. Estimated vs measured
+// ms (#-hypertree | PS13; "fewest bags" is the decomposition the search
+// returns without a profile):
 //
-//   chain4 2000/700         696 vs 600-1000   |  12.0 vs 33-53
+//   chain4 2000/700         349 vs 290-330    |  12.0 vs 33-53
 //   path2 3000/1500         0.60 vs 0.40-0.65 |  11.6 vs 11-17
-//   star3 3000/1500         0.16 vs 0.17-0.29 |  53.7 vs 36-58
-//   path4 3000/1500         0.22 vs 0.63-1.2  |  11.7 vs 7.4-9.0
-//   star3_leaves 3000/1500  1.98 vs 1.0-1.9   |  23.5 vs 17-28
+//   star3 3000/1500         0.18 vs 0.17-0.29 |  53.7 vs 36-58
+//   path4 3000/1500         0.24 vs 0.63-1.2  |  11.7 vs 7.4-9.0
+//   star3_leaves 3000/1500  1.92 vs 1.0-1.9   |  23.5 vs 17-28
 //   skewed star 200K        10.8 vs 8.8-12.8  |  4.50 vs 0.8-1.8
+//   cycle4 2500/150         7.26 vs 12-16     |  (cyclic)
+//     fewest bags           656 vs 440-465    |
+//   q0 (count_heavy's)      1.14 vs 1.9-2.4   |  (cyclic)
+//     fewest bags           403 vs 440-540    |
 //
 // The estimates land within 2-4x of the measured times, so the planner
 // leaves the structural choice (#-hypertree) alone unless PS13 is
-// predicted at least kSteerMargin times cheaper. A width-1 decomposition
-// (one atom per bag) never crosses the margin: its estimate is at most
-// twice PS13's probe term alone. The model has no per-call fixed costs,
-// which dominate below ~0.1 ms, so a predicted saving under kMinSavingMs
-// never moves the choice either.
+// predicted at least kSteerMargin times cheaper. The model has no per-call
+// fixed costs, which dominate below ~0.1 ms, so a predicted saving under
+// kMinSavingMs never moves the choice either. kBagMs is the per-bag share
+// of those fixed costs, in the decomposition search only a tie-breaker.
 constexpr double kProbeNs = 9.0;
 constexpr double kMaterializeNs = 60.0;
 constexpr double kSetOpNs = 3.0;
+constexpr double kBagMs = 0.005;
 constexpr double kSteerMargin = 2.0;
 constexpr double kMinSavingMs = 0.1;
 
@@ -174,40 +181,89 @@ RelEstimate EstimateJoin(const RelEstimate& a, const RelEstimate& b) {
   return out;
 }
 
-// #-hypertree (Theorem 3.7 pipeline): every bag's guard join is
-// materialized (each intermediate of a multi-atom guard is written out),
-// every core atom is semijoined into its bag, and the full reducer probes
-// every bag once more.
-double EstimateSharpMs(const SharpDecomposition& d, const ConjunctiveQuery& q,
-                       const DataProfile& profile) {
-  double probes = 0.0;
-  double materialized = 0.0;
-  std::vector<double> bag_rows(d.tree.bags.size(), 0.0);
-  for (std::size_t v = 0; v < d.tree.bags.size(); ++v) {
+// The #-hypertree's per-bag cost (Theorem 3.7 pipeline), which is both
+// the objective of the planner's decomposition search and, summed over the
+// chosen bags, its est_sharp: one estimator, so the estimate the strategy
+// choice reads is exactly what the search minimized. A bag costs
+//   - its guard join ⋈λ: every intermediate of a multi-atom guard is
+//     materialized (kMaterializeNs a row; a pair of atoms sharing no
+//     variable is a cross product, which is what the search steers away
+//     from);
+//   - its probes: the projection onto the bag and the full reducer read
+//     every guard row once, and every query atom inside the bag is
+//     semijoined into it (kProbeNs a row each). The executor semijoins an
+//     atom only into the first bag that covers it, and only core atoms,
+//     so this is an upper bound where bags overlap or the core is smaller;
+//   - a fixed kBagMs, so that between equally cheap decompositions the
+//     search still prefers fewer bags.
+// Guard estimates are memoized: the width searches ask about the same
+// guards once per (component, connector) pair they try.
+class SharpBagCost {
+ public:
+  SharpBagCost(const ConjunctiveQuery& q, const DataProfile& profile) {
+    atoms_.reserve(q.NumAtoms());
+    atom_vars_.reserve(q.NumAtoms());
+    for (const Atom& atom : q.atoms()) {
+      atoms_.push_back(EstimateAtom(atom, profile));
+      atom_vars_.push_back(atom.Vars());
+    }
+  }
+
+  // Estimated rows of the guard's join.
+  double GuardRows(const std::vector<int>& guard) {
+    return Guard(guard).rows;
+  }
+
+  // Estimated ms to materialize `bag` from its guard (a GuardedBagCost).
+  double BagMs(const IdSet& bag, const std::vector<int>& guard) {
+    const GuardEstimate& g = Guard(guard);
+    double probes_per_row = 1.0;
+    for (const IdSet& vars : atom_vars_) {
+      if (vars.IsSubsetOf(bag)) probes_per_row += 1.0;
+    }
+    return kBagMs + (kMaterializeNs * g.materialized +
+                     kProbeNs * g.rows * probes_per_row) /
+                        1e6;
+  }
+
+ private:
+  struct GuardEstimate {
+    double rows = 0.0;          // the guard join's rows
+    double materialized = 0.0;  // rows of every multi-atom intermediate
+  };
+
+  const GuardEstimate& Guard(const std::vector<int>& guard) {
+    auto [it, fresh] = guards_.try_emplace(guard);
+    if (!fresh) return it->second;
     // V^k views are always guard-defined: atoms of q, joined in order.
+    SHARPCQ_DCHECK(!guard.empty());
+    RelEstimate joined = atoms_[static_cast<std::size_t>(guard[0])];
+    for (std::size_t g = 1; g < guard.size(); ++g) {
+      joined =
+          EstimateJoin(joined, atoms_[static_cast<std::size_t>(guard[g])]);
+      it->second.materialized += joined.rows;
+    }
+    it->second.rows = joined.rows;
+    return it->second;
+  }
+
+  std::vector<RelEstimate> atoms_;
+  std::vector<IdSet> atom_vars_;
+  std::map<std::vector<int>, GuardEstimate> guards_;
+};
+
+// est_sharp: the search objective summed over `d`'s bags. Fills
+// `bag_rows` (when non-null) with each bag's estimated guard rows.
+double SharpMs(const SharpDecomposition& d, SharpBagCost* model,
+               std::vector<double>* bag_rows) {
+  double ms = 0.0;
+  for (std::size_t v = 0; v < d.tree.bags.size(); ++v) {
     const std::vector<int>& guard =
         d.views.guards[static_cast<std::size_t>(d.tree.view_ids[v])];
-    SHARPCQ_DCHECK(!guard.empty());
-    RelEstimate joined =
-        EstimateAtom(q.atoms()[static_cast<std::size_t>(guard[0])], profile);
-    for (std::size_t g = 1; g < guard.size(); ++g) {
-      joined = EstimateJoin(
-          joined, EstimateAtom(q.atoms()[static_cast<std::size_t>(guard[g])],
-                               profile));
-      materialized += joined.rows;
-    }
-    bag_rows[v] = joined.rows;
-    probes += bag_rows[v];
+    ms += model->BagMs(d.tree.bags[v], guard);
+    if (bag_rows != nullptr) bag_rows->push_back(model->GuardRows(guard));
   }
-  for (const Atom& atom : d.core.atoms()) {
-    const IdSet vars = atom.Vars();
-    for (std::size_t v = 0; v < d.tree.bags.size(); ++v) {
-      if (!vars.IsSubsetOf(d.tree.bags[v])) continue;
-      probes += bag_rows[v];
-      break;
-    }
-  }
-  return (kProbeNs * probes + kMaterializeNs * materialized) / 1e6;
+  return ms;
 }
 
 // PS13 over the query's own join tree, rooted as the executor's cost model
@@ -277,6 +333,12 @@ double EstimatePs13Ms(const ConjunctiveQuery& q, const DataProfile& profile) {
 
 }  // namespace
 
+double EstimateSharpMs(const SharpDecomposition& d, const ConjunctiveQuery& q,
+                       const DataProfile& profile) {
+  SharpBagCost model(q, profile);
+  return SharpMs(d, &model, nullptr);
+}
+
 CountingPlan MakePlan(const ConjunctiveQuery& q, const PlannerOptions& options,
                       const DataProfile* profile) {
   const MonotonicClock::time_point start = MonotonicNow();
@@ -285,11 +347,23 @@ CountingPlan MakePlan(const ConjunctiveQuery& q, const PlannerOptions& options,
   plan.query = q;
   plan.options = options;
 
+  // With a profile the #-hypertree search weights every bag by its
+  // estimated cost, so among the minimal-width decompositions it returns
+  // the one the data makes cheapest; without one it returns one with the
+  // fewest bags.
+  std::optional<SharpBagCost> model;
+  GuardedBagCost bag_cost;
+  if (profile != nullptr) {
+    model.emplace(q, *profile);
+    bag_cost = [&model](const IdSet& bag, const std::vector<int>& guard) {
+      return model->BagMs(bag, guard);
+    };
+  }
   std::optional<SharpDecomposition> sharp;
   if (options.full_profile) {
     AnalysisArtifacts artifacts;
-    plan.analysis =
-        AnalyzeQuery(q, options.max_width, options.max_cores, &artifacts);
+    plan.analysis = AnalyzeQuery(q, options.max_width, options.max_cores,
+                                 &artifacts, bag_cost);
     plan.colored_core = std::move(artifacts.colored_core);
     sharp = std::move(artifacts.sharp);
   } else {
@@ -298,17 +372,20 @@ CountingPlan MakePlan(const ConjunctiveQuery& q, const PlannerOptions& options,
     plan.analysis.num_vars = q.AllVars().size();
     plan.analysis.num_free = q.free_vars().size();
     plan.analysis.is_acyclic = IsAcyclic(q.BuildHypergraph());
-    for (int k = 1; k <= options.max_width && !sharp.has_value(); ++k) {
-      sharp = FindSharpHypertreeDecomposition(q, k, options.max_cores);
-      if (sharp.has_value()) plan.analysis.sharp_hypertree_width = k;
+    std::optional<SharpWidthSearch> search = SearchSharpHypertreeWidth(
+        q, options.max_width, options.max_cores, bag_cost);
+    if (search.has_value()) {
+      plan.analysis.sharp_hypertree_width = search->k;
+      sharp = std::move(search->decomposition);
     }
   }
 
   const bool ps13_eligible =
       options.enable_acyclic_ps13 && AcyclicPs13Eligible(q, plan.analysis);
+  std::vector<double> bag_rows;
   if (profile != nullptr) {
     if (sharp.has_value()) {
-      plan.cost.sharp_ms = EstimateSharpMs(*sharp, q, *profile);
+      plan.cost.sharp_ms = SharpMs(*sharp, &*model, &bag_rows);
     }
     if (ps13_eligible) plan.cost.ps13_ms = EstimatePs13Ms(q, *profile);
   }
@@ -323,6 +400,7 @@ CountingPlan MakePlan(const ConjunctiveQuery& q, const PlannerOptions& options,
     plan.strategy = PlanStrategy::kSharpHypertree;
     plan.sharp = std::move(sharp);
     plan.width_budget = plan.analysis.sharp_hypertree_width.value_or(0);
+    plan.cost.bag_rows = std::move(bag_rows);
   } else if (ps13_eligible) {
     plan.strategy = PlanStrategy::kAcyclicPs13;
     plan.cost_model_steered = ps13_cheaper;

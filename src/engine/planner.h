@@ -27,10 +27,16 @@ namespace sharpcq {
 // thread.
 //
 // `profile` (optional) is the current generation's data statistics
-// (algebra/stats.h); with it the choice between the exact strategies is
-// cost-based, because which one is cheaper depends on the data as well as
-// the query (the #-hypertree pays for m^k-sized bags, PS13 for the
-// instance's degree):
+// (algebra/stats.h); with it both the decomposition and the choice between
+// the exact strategies are cost-based, because which one is cheaper depends
+// on the data as well as the query (the #-hypertree pays for m^k-sized
+// bags, PS13 for the instance's degree):
+//   - the #-hypertree search weights every bag by the estimated cost of
+//     materializing it (its guard join's rows, from the profile's row and
+//     distinct counts), so among the minimal-width decompositions it
+//     returns the cheapest for the data, e.g. two joined bags instead of
+//     one cross-product bag; without a profile it returns one with the
+//     fewest bags;
 //   - when both a #-hypertree decomposition and PS13 are candidates, each
 //     gets an estimated wall time from the profile's row and distinct
 //     counts — the sizes of the bags' guard joins against PS13's reduced
@@ -47,6 +53,13 @@ struct DataProfile;
 CountingPlan MakePlan(const ConjunctiveQuery& q,
                       const PlannerOptions& options = {},
                       const DataProfile* profile = nullptr);
+
+// The planner's estimate, in ms, of counting q through decomposition `d` on
+// data of `profile`'s class: the per-bag cost its #-hypertree search
+// minimizes, summed over d's bags. A profiled plan's est_sharp is this
+// value for its own decomposition.
+double EstimateSharpMs(const SharpDecomposition& d, const ConjunctiveQuery& q,
+                       const DataProfile& profile);
 
 }  // namespace sharpcq
 

@@ -92,15 +92,19 @@ std::string ConjunctiveQuery::DebugString() const {
   out += ") <- ";
   for (std::size_t i = 0; i < atoms_.size(); ++i) {
     if (i > 0) out += ", ";
-    out += atoms_[i].relation + "(";
-    for (std::size_t j = 0; j < atoms_[i].terms.size(); ++j) {
-      if (j > 0) out += ",";
-      const Term& t = atoms_[i].terms[j];
-      out += t.is_var() ? VarName(t.var) : std::to_string(t.value);
-    }
-    out += ")";
+    out += AtomDebugString(atoms_[i]);
   }
   return out;
+}
+
+std::string ConjunctiveQuery::AtomDebugString(const Atom& atom) const {
+  std::string out = atom.relation + "(";
+  for (std::size_t j = 0; j < atom.terms.size(); ++j) {
+    if (j > 0) out += ",";
+    const Term& t = atom.terms[j];
+    out += t.is_var() ? VarName(t.var) : std::to_string(t.value);
+  }
+  return out + ")";
 }
 
 ConjunctiveQuery ConjunctiveQuery::CloneShell() const {

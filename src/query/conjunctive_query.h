@@ -67,6 +67,8 @@ class ConjunctiveQuery {
   bool IsSimple() const;
 
   std::string DebugString() const;
+  // "r(X,5)": `atom` rendered with this query's variable names.
+  std::string AtomDebugString(const Atom& atom) const;
 
   // --- derived queries (share this query's name table) --------------------
 

@@ -6,9 +6,10 @@
 
 namespace sharpcq {
 
-// Answer counts. The paper assumes unit-cost arithmetic; 128 bits is ample
-// for every workload generated in this repository (property tests check for
-// overflow in debug builds).
+// Answer counts. The paper assumes unit-cost arithmetic. The counting
+// accumulators are NOT overflow-checked: a count past 2^128 (easy to reach,
+// e.g. 100^20 answers) wraps silently. Checked arithmetic with a distinct
+// overflow status is an open ROADMAP item ("No silent wrong answers").
 using CountInt = unsigned __int128;
 
 // Decimal rendering of a 128-bit count (no std::to_string overload exists).

@@ -8,7 +8,10 @@
 // The strategy-choice suite pins the data-aware planner: which exact
 // strategy `auto` runs on the shapes whose best strategy depends on the
 // data, and a differential over acyclic instances from both regimes
-// (auto == forced #-hypertree == forced PS13 == backtracking).
+// (auto == forced #-hypertree == forced PS13 == backtracking). The
+// decomposition-choice suite pins which #-hypertree decomposition a
+// profile selects (no cross-product bag on the 4-cycle and Q0) and checks
+// on cyclic instances that it counts the same as the fewest-bags one.
 
 #include <gtest/gtest.h>
 
@@ -682,6 +685,291 @@ TEST(StrategyChoiceDifferentialTest, AutoAgreesWithEveryForcedStrategy) {
   // structural choice and left others on it.
   EXPECT_GE(auto_ps13, 30);
   EXPECT_GE(auto_sharp, 30);
+}
+
+// --- decomposition choice --------------------------------------------------
+//
+// With a profile the #-hypertree search weights each bag by its estimated
+// materialization cost, so among the minimal-width decompositions it picks
+// the one the data makes cheapest (count_heavy's cycle4 and q0 ran one
+// cross-product bag before: 6.25M rows where two joined bags of ~42K do
+// the same job).
+
+constexpr const char* kCycle4 = "Q(A,C) <- y1(A,B), y2(B,C), y3(C,D), y4(D,A)";
+constexpr const char* kQ0 =
+    "Q(A,B,C) <- mw(A,B,I), wt(B,D), wi(B,E), pt(C,D), st(D,F), st(D,G), "
+    "rr(G,H), rr(F,H), rr(D,H)";
+
+// The 4-cycle's relations: 600 pairs over 40 values each.
+Database Cycle4Database() {
+  std::uint64_t state = 4;
+  Database db;
+  for (const char* name : {"y1", "y2", "y3", "y4"}) {
+    AddRandomPairs(&db, name, 600, 40, &state);
+  }
+  return ViaSnapshot(db);
+}
+
+// `rows` distinct pairs over [base1, base1+n1) x [base2, base2+n2).
+void AddShiftedPairs(Database* db, const std::string& name, int rows,
+                     Value base1, int n1, Value base2, int n2,
+                     std::uint64_t* state) {
+  std::set<std::pair<Value, Value>> seen;
+  while (static_cast<int>(seen.size()) < rows) {
+    const Value a = base1 + static_cast<Value>(NextRandom(state) % n1);
+    const Value b = base2 + static_cast<Value>(NextRandom(state) % n2);
+    if (seen.emplace(a, b).second) db->AddTuple(name, {a, b});
+  }
+}
+
+// The paper's workforce schema for Q0 (Example 1.1) at a reduced scale,
+// entity ids in disjoint ranges; rr's first column ranges over tasks and
+// subtasks, so rr(D,H) and rr(F,H) both join.
+Database Q0Database() {
+  constexpr int kMachines = 20, kWorkers = 40, kTasks = 30, kProjects = 10,
+                kSubtasks = 30, kResources = 20;
+  constexpr Value kM = 1000000, kW = 2000000, kT = 3000000, kP = 4000000,
+                  kS = 5000000, kR = 6000000, kI = 7000000;
+  std::uint64_t state = 5;
+  Database db;
+  std::set<std::pair<Value, Value>> seen;
+  while (seen.size() < 200) {
+    const Value m = kM + static_cast<Value>(NextRandom(&state) % kMachines);
+    const Value w = kW + static_cast<Value>(NextRandom(&state) % kWorkers);
+    if (seen.emplace(m, w).second) {
+      db.AddTuple("mw", {m, w, 1 + static_cast<Value>(NextRandom(&state) % 40)});
+    }
+  }
+  for (Value w = 0; w < kWorkers; ++w) db.AddTuple("wi", {kW + w, kI + w});
+  AddShiftedPairs(&db, "wt", 200, kW, kWorkers, kT, kTasks, &state);
+  AddShiftedPairs(&db, "pt", 80, kP, kProjects, kT, kTasks, &state);
+  AddShiftedPairs(&db, "st", 200, kT, kTasks, kS, kSubtasks, &state);
+  std::set<std::pair<Value, Value>> rr;
+  while (rr.size() < 300) {
+    const Value i =
+        static_cast<Value>(NextRandom(&state) % (kTasks + kSubtasks));
+    const Value task = i < kTasks ? kT + i : kS + (i - kTasks);
+    const Value r = kR + static_cast<Value>(NextRandom(&state) % kResources);
+    if (rr.emplace(task, r).second) db.AddTuple("rr", {task, r});
+  }
+  return ViaSnapshot(db);
+}
+
+// True when the guard's atoms are connected through shared variables, i.e.
+// its join is not (in part) a cross product.
+bool GuardIsConnected(const ConjunctiveQuery& q, const std::vector<int>& guard) {
+  IdSet reached = q.atoms()[static_cast<std::size_t>(guard[0])].Vars();
+  std::vector<bool> joined(guard.size(), false);
+  joined[0] = true;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (std::size_t g = 1; g < guard.size(); ++g) {
+      const IdSet vars = q.atoms()[static_cast<std::size_t>(guard[g])].Vars();
+      if (joined[g] || !vars.Intersects(reached)) continue;
+      joined[g] = grew = true;
+      reached = Union(reached, vars);
+    }
+  }
+  return std::find(joined.begin(), joined.end(), false) == joined.end();
+}
+
+bool SameDecomposition(const SharpDecomposition& a,
+                       const SharpDecomposition& b) {
+  return a.tree.bags == b.tree.bags && a.tree.view_ids == b.tree.view_ids;
+}
+
+// The profiled plan avoids cross-product guards, has at least two bags,
+// and its est_sharp (the search objective) beats the fewest-bags
+// decomposition's estimate under the same profile.
+void ExpectCheaperThanFewestBags(const char* query, const Database& db) {
+  const ConjunctiveQuery q = ParseOrDie(query);
+  const DataProfile profile = BuildDataProfile(db);
+  const CountingPlan plan = MakePlan(q, PlannerOptions{}, &profile);
+  const CountingPlan fewest = MakePlan(q);
+  ASSERT_EQ(plan.strategy, PlanStrategy::kSharpHypertree) << query;
+  ASSERT_TRUE(plan.sharp.has_value() && fewest.sharp.has_value());
+  EXPECT_EQ(plan.width_budget, 2) << query;
+  EXPECT_EQ(plan.width_budget, fewest.width_budget) << query;
+  const std::string debug = plan.DebugString();
+  EXPECT_GE(plan.sharp->tree.bags.size(), 2u) << debug;
+  for (int view : plan.sharp->tree.view_ids) {
+    const std::vector<int>& guard =
+        plan.sharp->views.guards[static_cast<std::size_t>(view)];
+    EXPECT_TRUE(GuardIsConnected(q, guard)) << debug;
+  }
+  ASSERT_TRUE(plan.cost.sharp_ms.has_value());
+  EXPECT_DOUBLE_EQ(*plan.cost.sharp_ms,
+                   EstimateSharpMs(*plan.sharp, q, profile));
+  const double fewest_ms = EstimateSharpMs(*fewest.sharp, q, profile);
+  EXPECT_LT(*plan.cost.sharp_ms, fewest_ms) << debug;
+  EXPECT_EQ(plan.cost.bag_rows.size(), plan.sharp->tree.bags.size());
+
+  // Both decompositions count the same.
+  CountingEngine engine;
+  const CountResult result = engine.Count(q, db);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.method, "#-hypertree(k=2)");
+  EXPECT_EQ(result.count, CountByBacktracking(q, db)) << query;
+}
+
+TEST(DecompositionChoiceTest, CycleAvoidsTheCrossProductBag) {
+  ExpectCheaperThanFewestBags(kCycle4, Cycle4Database());
+}
+
+TEST(DecompositionChoiceTest, Q0AvoidsTheCrossProductBag) {
+  ExpectCheaperThanFewestBags(kQ0, Q0Database());
+}
+
+TEST(DecompositionChoiceTest, NoProfileKeepsTheFewestBags) {
+  for (const char* query : {kCycle4, kQ0}) {
+    const ConjunctiveQuery q = ParseOrDie(query);
+    const CountingPlan plan = MakePlan(q);
+    ASSERT_TRUE(plan.sharp.has_value()) << query;
+    EXPECT_TRUE(plan.cost.bag_rows.empty()) << query;
+    // The structural search, unweighted: bag count is its objective.
+    const auto structural = FindSharpHypertreeDecomposition(q, 2);
+    ASSERT_TRUE(structural.has_value()) << query;
+    EXPECT_TRUE(SameDecomposition(*plan.sharp, *structural))
+        << plan.DebugString();
+    // Without full_profile the planner takes the same decomposition.
+    PlannerOptions minimal;
+    minimal.full_profile = false;
+    const CountingPlan minimal_plan = MakePlan(q, minimal);
+    ASSERT_TRUE(minimal_plan.sharp.has_value()) << query;
+    EXPECT_TRUE(SameDecomposition(*minimal_plan.sharp, *structural)) << query;
+  }
+}
+
+TEST(DecompositionChoiceTest, PlanSpanAndDebugStringShowTheBags) {
+  const Database db = Cycle4Database();
+  CountingEngine engine;
+  Trace trace;
+  ASSERT_TRUE(engine
+                  .Count(ParseOrDie(kCycle4), db, PlannerOptions{}, nullptr,
+                         &trace)
+                  .ok());
+  const TraceNode* plan = FindSpan(trace.root(), "plan");
+  ASSERT_NE(plan, nullptr);
+  ASSERT_NE(FindSpanNote(*plan, "bags"), nullptr);
+  EXPECT_EQ(*FindSpanNote(*plan, "bags"), "2");
+
+  const std::string debug = PlanWithProfile(kCycle4, db).DebugString();
+  EXPECT_NE(debug.find("decomposition: 2 bags"), std::string::npos) << debug;
+  EXPECT_NE(debug.find("bag 0 {"), std::string::npos) << debug;
+  EXPECT_NE(debug.find("guard y"), std::string::npos) << debug;
+  EXPECT_NE(debug.find("est_rows="), std::string::npos) << debug;
+  // Without a profile the bags are listed, with no estimates.
+  const std::string blind = MakePlan(ParseOrDie(kCycle4)).DebugString();
+  EXPECT_NE(blind.find("decomposition: 1 bag"), std::string::npos) << blind;
+  EXPECT_EQ(blind.find("est_rows="), std::string::npos) << blind;
+}
+
+// A cyclic instance: a 4- or 5-cycle with a random free set, a triangle
+// with pendant atoms, or a Q0-shaped query (self-joins included), over
+// uniform or skewed data.
+struct CyclicCase {
+  ConjunctiveQuery query;
+  Database db;
+};
+
+CyclicCase MakeCyclicCase(std::uint64_t seed) {
+  std::uint64_t state = seed * 0x9E3779B97F4A7C15ull + 11;
+  const int domain = 4 + static_cast<int>(NextRandom(&state) % 9);
+  const int rows = std::min(8 + static_cast<int>(NextRandom(&state) % 30),
+                            domain * domain / 2);
+  // Skewed instances pile extra rows onto one hot value per relation.
+  const bool skewed = seed % 3 == 0;
+  std::vector<std::string> atoms;  // "r(X,Y)" strings
+  std::vector<std::string> vars;
+  switch (seed % 4) {
+    case 0:
+    case 1: {  // 4- or 5-cycle
+      const int length = seed % 4 == 0 ? 4 : 5;
+      for (int i = 0; i < length; ++i) vars.push_back("X" + std::to_string(i));
+      for (int i = 0; i < length; ++i) {
+        atoms.push_back("r" + std::to_string(i) + "(" + vars[i] + "," +
+                        vars[(i + 1) % length] + ")");
+      }
+      break;
+    }
+    case 2: {  // triangle with one or two pendant atoms
+      vars = {"A", "B", "C", "P", "R"};
+      atoms = {"r0(A,B)", "r1(B,C)", "r2(C,A)", "r3(A,P)"};
+      if (NextRandom(&state) % 2 == 0) atoms.push_back("r4(C,R)");
+      else vars.pop_back();
+      break;
+    }
+    default: {  // Q0-shaped
+      vars = {"A", "B", "C", "D", "E", "F", "G", "H", "I"};
+      atoms = {"mw(A,B,I)", "wt(B,D)", "wi(B,E)", "pt(C,D)", "st(D,F)",
+               "st(D,G)", "rr(G,H)", "rr(F,H)", "rr(D,H)"};
+      break;
+    }
+  }
+  std::string head;
+  for (const std::string& v : vars) {
+    if (NextRandom(&state) % 2 != 0) continue;
+    head += (head.empty() ? "" : ",") + v;
+  }
+  std::string body;
+  for (const std::string& a : atoms) body += (body.empty() ? "" : ", ") + a;
+  CyclicCase c;
+  c.query = ParseOrDie("Q(" + head + ") <- " + body);
+  std::set<std::string> declared;
+  for (const Atom& atom : c.query.atoms()) {
+    if (!declared.insert(atom.relation).second) continue;
+    const std::size_t arity = atom.terms.size();
+    std::set<std::vector<Value>> seen;
+    while (static_cast<int>(seen.size()) < rows) {
+      std::vector<Value> row(arity);
+      for (Value& v : row) v = static_cast<Value>(NextRandom(&state) % domain);
+      if (seen.insert(row).second) c.db.AddTuple(atom.relation, row);
+    }
+    for (int i = 0; skewed && i < rows / 2; ++i) {
+      std::vector<Value> row(arity, 0);
+      row.back() = static_cast<Value>(i % domain);
+      if (seen.insert(row).second) c.db.AddTuple(atom.relation, row);
+    }
+  }
+  return c;
+}
+
+TEST(DecompositionChoiceDifferentialTest, CostGuidedAgreesWithFewestBags) {
+  CountingEngine guided;  // cost model on: the profile weights the bags
+  EngineOptions off;
+  off.enable_cost_model = false;
+  CountingEngine blind(off);
+  const auto sharp = PlannerOptionsForStrategy("sharp", PlannerOptions{});
+  ASSERT_TRUE(sharp.has_value());
+  int changed = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    CyclicCase c = MakeCyclicCase(seed);
+    // Half the instances carry persisted column stats, half only row
+    // counts (row-major relations).
+    const Database db = seed % 2 == 0 ? ViaSnapshot(c.db) : std::move(c.db);
+    const CountResult chosen = guided.Count(c.query, db);
+    ASSERT_TRUE(chosen.ok()) << "seed " << seed;
+    const CountInt expected = CountByBacktracking(c.query, db);
+    EXPECT_EQ(chosen.count, expected)
+        << "seed " << seed << " via " << chosen.method;
+    EXPECT_EQ(blind.Count(c.query, db, *sharp).count, expected)
+        << "seed " << seed;
+
+    const DataProfile profile = BuildDataProfile(db);
+    const CountingPlan weighted = MakePlan(c.query, PlannerOptions{}, &profile);
+    const CountingPlan fewest = MakePlan(c.query);
+    ASSERT_EQ(weighted.sharp.has_value(), fewest.sharp.has_value())
+        << "seed " << seed;
+    if (weighted.sharp.has_value() &&
+        !SameDecomposition(*weighted.sharp, *fewest.sharp)) {
+      ++changed;
+      EXPECT_LE(*weighted.cost.sharp_ms,
+                EstimateSharpMs(*fewest.sharp, c.query, profile))
+          << "seed " << seed;
+    }
+  }
+  // The weighting actually moved a good share of the instances.
+  EXPECT_GE(changed, 30);
 }
 
 // --- concurrency -----------------------------------------------------------
