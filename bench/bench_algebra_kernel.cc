@@ -1,9 +1,10 @@
-// The relational kernel (algebra/) against the legacy by-value VarRelation
-// algebra on the workload the ISSUE-3 refactor targets: semijoin-heavy
-// full-reducer fixpoints, where the legacy operators rebuild a hash index
-// and deep-copy the surviving rows on every single semijoin, while the
-// kernel reuses each table's cached index and returns shared (copy-free)
-// handles for semijoins that remove nothing.
+// The relational kernel (algebra/) against the by-value algebra it replaced
+// (row-major relations with sort-based dedup, replicated below so the
+// baseline stays fixed) on semijoin-heavy full-reducer fixpoints: the
+// legacy operators rebuild a hash index and deep-copy the surviving rows
+// on every single semijoin, while the kernel reuses each table's cached
+// index and returns shared (copy-free) handles for semijoins that remove
+// nothing.
 //
 //   - BM_Semijoin_{Legacy,Kernel}     one repeated semijoin against a fixed
 //                                     right-hand side (index cached vs
@@ -25,17 +26,188 @@
 
 #include "bench/bench_main.h"
 
+#include <algorithm>
 #include <array>
+#include <numeric>
 #include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "algebra/rel.h"
-#include "data/var_relation.h"
 #include "solver/consistency.h"
+#include "util/hash.h"
 
 namespace sharpcq {
 namespace {
+
+// --- the by-value algebra, replicated -----------------------------------------
+//
+// A frozen copy of the pre-kernel representation: a row-major relation
+// deduplicated by sorting, and a per-call open-addressing index over whole
+// key vectors. Only what the Legacy benchmarks run is kept.
+namespace legacy {
+
+struct Relation {
+  int arity = 0;
+  std::vector<Value> data;  // row-major, `arity` values per row (arity > 0)
+
+  std::size_t size() const { return data.size() / arity; }
+  std::span<const Value> Row(std::size_t i) const {
+    return {data.data() + i * static_cast<std::size_t>(arity),
+            static_cast<std::size_t>(arity)};
+  }
+  void AddRow(std::span<const Value> row) {
+    data.insert(data.end(), row.begin(), row.end());
+  }
+
+  // Sorts rows lexicographically and drops duplicates.
+  void Dedup() {
+    if (size() <= 1) return;
+    std::vector<std::uint32_t> ids(size());
+    std::iota(ids.begin(), ids.end(), 0u);
+    std::sort(ids.begin(), ids.end(), [this](std::uint32_t a, std::uint32_t b) {
+      auto ra = Row(a);
+      auto rb = Row(b);
+      return std::lexicographical_compare(ra.begin(), ra.end(), rb.begin(),
+                                          rb.end());
+    });
+    std::vector<Value> sorted;
+    sorted.reserve(data.size());
+    for (std::uint32_t id : ids) {
+      auto row = Row(id);
+      sorted.insert(sorted.end(), row.begin(), row.end());
+    }
+    data = std::move(sorted);
+    std::vector<Value> deduped;
+    deduped.reserve(data.size());
+    for (std::size_t i = 0; i < size(); ++i) {
+      auto row = Row(i);
+      if (i > 0) {
+        auto prev = Row(i - 1);
+        if (std::equal(row.begin(), row.end(), prev.begin())) continue;
+      }
+      deduped.insert(deduped.end(), row.begin(), row.end());
+    }
+    data = std::move(deduped);
+  }
+};
+
+// Hash index over selected key columns: key -> row ids.
+class RowIndex {
+ public:
+  RowIndex(const Relation& rel, std::vector<int> key_columns)
+      : key_columns_(std::move(key_columns)) {
+    std::size_t capacity = 16;
+    while (capacity < rel.size() * 2 + 2) capacity <<= 1;
+    table_.assign(capacity, 0);
+    mask_ = capacity - 1;
+    for (std::size_t i = 0; i < rel.size(); ++i) {
+      std::vector<Value> key = KeyOf(rel.Row(i));
+      std::size_t slot = FindSlot(key);
+      if (table_[slot] == 0) {
+        buckets_.push_back(Bucket{std::move(key), {}});
+        table_[slot] = static_cast<std::uint32_t>(buckets_.size());
+      }
+      buckets_[table_[slot] - 1].rows.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+
+  bool Contains(std::span<const Value> key) const {
+    return table_[FindSlot(key)] != 0;
+  }
+
+ private:
+  struct Bucket {
+    std::vector<Value> key;
+    std::vector<std::uint32_t> rows;
+  };
+
+  std::vector<Value> KeyOf(std::span<const Value> row) const {
+    std::vector<Value> key;
+    key.reserve(key_columns_.size());
+    for (int c : key_columns_) key.push_back(row[static_cast<std::size_t>(c)]);
+    return key;
+  }
+
+  std::size_t FindSlot(std::span<const Value> key) const {
+    std::size_t h = HashRange(key.begin(), key.end()) & mask_;
+    while (true) {
+      std::uint32_t b = table_[h];
+      if (b == 0) return h;
+      const Bucket& bucket = buckets_[b - 1];
+      if (bucket.key.size() == key.size() &&
+          std::equal(key.begin(), key.end(), bucket.key.begin())) {
+        return h;
+      }
+      h = (h + 1) & mask_;
+    }
+  }
+
+  std::vector<int> key_columns_;
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint32_t> table_;  // open addressing into buckets_ (+1)
+  std::size_t mask_ = 0;
+};
+
+struct VarRelation {
+  IdSet vars;
+  Relation rel;
+
+  explicit VarRelation(IdSet v) : vars(std::move(v)) {
+    rel.arity = static_cast<int>(vars.size());
+  }
+  std::size_t size() const { return rel.size(); }
+  bool empty() const { return size() == 0; }
+  int ColumnOf(std::uint32_t var) const {
+    const auto& ids = vars.ids();
+    return static_cast<int>(std::lower_bound(ids.begin(), ids.end(), var) -
+                            ids.begin());
+  }
+};
+
+std::vector<int> ColumnsOf(const VarRelation& r, const IdSet& vars) {
+  std::vector<int> cols;
+  for (std::uint32_t v : vars) cols.push_back(r.ColumnOf(v));
+  return cols;
+}
+
+VarRelation Project(const VarRelation& r, const IdSet& onto) {
+  VarRelation out(onto);
+  std::vector<int> cols = ColumnsOf(r, onto);
+  std::vector<Value> row(onto.size());
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    auto src = r.rel.Row(i);
+    for (std::size_t j = 0; j < cols.size(); ++j) {
+      row[j] = src[static_cast<std::size_t>(cols[j])];
+    }
+    out.rel.AddRow(row);
+  }
+  out.rel.Dedup();
+  return out;
+}
+
+VarRelation Semijoin(const VarRelation& a, const VarRelation& b,
+                     bool* changed = nullptr) {
+  IdSet shared = Intersect(a.vars, b.vars);
+  VarRelation out(a.vars);
+  RowIndex index(b.rel, ColumnsOf(b, shared));
+  std::vector<int> a_shared_cols = ColumnsOf(a, shared);
+  std::vector<Value> key(shared.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    auto ra = a.rel.Row(i);
+    for (std::size_t j = 0; j < a_shared_cols.size(); ++j) {
+      key[j] = ra[static_cast<std::size_t>(a_shared_cols[j])];
+    }
+    if (index.Contains(key)) out.rel.AddRow(ra);
+  }
+  if (changed != nullptr) *changed = out.size() != a.size();
+  return out;
+}
+
+}  // namespace legacy
+
+using legacy::VarRelation;
 
 constexpr int kChainViews = 8;
 constexpr int kRowsPerView = 2000;
@@ -82,9 +254,9 @@ std::vector<VarRelation> BuildLegacyViews(const std::vector<RawView>& raw) {
   for (const RawView& r : raw) {
     VarRelation view(r.vars);
     for (const auto& row : r.rows) {
-      view.rel().AddRow(std::span<const Value>(row));
+      view.rel.AddRow(std::span<const Value>(row));
     }
-    view.rel().Dedup();
+    view.rel.Dedup();
     views.push_back(std::move(view));
   }
   return views;
@@ -111,7 +283,7 @@ bool LegacyEnforcePairwiseConsistency(std::vector<VarRelation>* views) {
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i != j && (*views)[i].vars().Intersects((*views)[j].vars())) {
+      if (i != j && (*views)[i].vars.Intersects((*views)[j].vars)) {
         pairs.emplace_back(i, j);
       }
     }
@@ -121,7 +293,7 @@ bool LegacyEnforcePairwiseConsistency(std::vector<VarRelation>* views) {
     changed = false;
     for (auto [i, j] : pairs) {
       bool local = false;
-      (*views)[i] = Semijoin((*views)[i], (*views)[j], &local);
+      (*views)[i] = legacy::Semijoin((*views)[i], (*views)[j], &local);
       if (local) {
         changed = true;
         if ((*views)[i].empty()) return false;
@@ -136,7 +308,7 @@ void BM_Semijoin_Legacy(benchmark::State& state) {
   const VarRelation& a = views[0];
   const VarRelation& b = views[1];
   for (auto _ : state) {
-    VarRelation kept = Semijoin(a, b);
+    VarRelation kept = legacy::Semijoin(a, b);
     benchmark::DoNotOptimize(kept.size());
   }
 }
@@ -189,7 +361,7 @@ void BM_CountedProjection_Legacy(benchmark::State& state) {
   const VarRelation& r = views[0];
   const IdSet onto{0};
   for (auto _ : state) {
-    std::size_t distinct = Project(r, onto).size();
+    std::size_t distinct = legacy::Project(r, onto).size();
     benchmark::DoNotOptimize(distinct);
   }
 }

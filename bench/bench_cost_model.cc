@@ -60,7 +60,7 @@ Database SnapshotRoundTrip(const Database& db, const char* tag) {
 // the LAST atom textually, so the default child order runs it last.
 const Database& StarDb() {
   static const Database db = [] {
-    Database raw;
+    DatabaseBuilder raw;
     for (int i = 0; i < kCenterRows; ++i) {
       raw.AddTuple("center", {i % kDomain, i});
     }
@@ -72,7 +72,7 @@ const Database& StarDb() {
     for (int s = 0; s < kSelective; ++s) {
       raw.AddTuple("sel", {s * (kDomain / kSelective)});
     }
-    return SnapshotRoundTrip(raw, "star");
+    return SnapshotRoundTrip(std::move(raw).Build(), "star");
   }();
   return db;
 }
@@ -82,7 +82,7 @@ const Database& StarDb() {
 // visits the 200k-row r1 before the 10-row r3.
 const Database& ChainDb() {
   static const Database db = [] {
-    Database raw;
+    DatabaseBuilder raw;
     for (int i = 0; i < kCenterRows; ++i) {
       raw.AddTuple("r1", {i % kDomain, (i * 7) % kDomain});
       raw.AddTuple("r2", {(i * 7) % kDomain, (i * 13) % kDomain});
@@ -90,7 +90,7 @@ const Database& ChainDb() {
     for (int s = 0; s < kSelective; ++s) {
       raw.AddTuple("r3", {(s * 13) % kDomain, s});
     }
-    return SnapshotRoundTrip(raw, "chain");
+    return SnapshotRoundTrip(std::move(raw).Build(), "chain");
   }();
   return db;
 }

@@ -4,7 +4,7 @@
 // This benchmark measures that directly on the paper's queries:
 //
 //   - BM_Plan_Cold/*       planning with the cache cleared every iteration
-//                          (the legacy facades' per-call cost);
+//                          (the per-count cost without a plan cache);
 //   - BM_Plan_Cached/*     planning against a warm cache (canonicalize +
 //                          lookup only);
 //   - BM_Count_Cold/*      full plan+execute with a cold cache;

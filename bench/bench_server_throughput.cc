@@ -54,15 +54,14 @@ const char* const kQueryTexts[] = {
 constexpr std::size_t kQueryCount = sizeof(kQueryTexts) / sizeof(kQueryTexts[0]);
 
 Database MakeBenchDatabase() {
-  Database db;
+  DatabaseBuilder db;
   for (Value i = 0; i < 40; ++i) {
     for (Value j = 0; j < 40; ++j) {
       if ((i + 3 * j) % 7 == 0) db.AddTuple("r", {i, j});
       if ((2 * i + j) % 5 == 0) db.AddTuple("s", {i, j});
     }
   }
-  db.DedupAll();
-  return db;
+  return std::move(db).Build();
 }
 
 // One daemon for the whole binary, torn down at exit.

@@ -88,7 +88,6 @@ void BM_ColdStart_CsvIngest(benchmark::State& state) {
       CsvResult result = LoadRelationCsv(in, RelationNames()[i], &db);
       SHARPCQ_CHECK(result.ok());
     }
-    db.DedupAll();
     tuples = db.TotalTuples();
     benchmark::DoNotOptimize(db);
   }

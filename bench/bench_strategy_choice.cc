@@ -85,7 +85,7 @@ std::uint64_t NextRandom(std::uint64_t* state) {
 // [0,domain) x [0,domain).
 Database RandomPairs(const std::vector<std::string>& names, int rows,
                      int domain, std::uint64_t seed) {
-  Database db;
+  DatabaseBuilder db;
   std::uint64_t state = seed;
   for (const std::string& name : names) {
     std::set<std::pair<Value, Value>> seen;
@@ -95,12 +95,12 @@ Database RandomPairs(const std::vector<std::string>& names, int rows,
       if (seen.emplace(a, b).second) db.AddTuple(name, {a, b});
     }
   }
-  return db;
+  return std::move(db).Build();
 }
 
 Database SkewedStar() {
   constexpr int kDomain = 100000;
-  Database db;
+  DatabaseBuilder db;
   for (int i = 0; i < 2 * kDomain; ++i) db.AddTuple("center", {i % kDomain, i});
   for (int x = 0; x < kDomain; ++x) {
     db.AddTuple("la", {x});
@@ -108,7 +108,7 @@ Database SkewedStar() {
     db.AddTuple("lc", {x});
   }
   for (int s = 0; s < 10; ++s) db.AddTuple("sel", {s * (kDomain / 10)});
-  return db;
+  return std::move(db).Build();
 }
 
 struct Case {

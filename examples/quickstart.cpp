@@ -11,6 +11,7 @@
 // checked against brute force.
 
 #include <cstdio>
+#include <utility>
 
 #include "count/enumeration.h"
 #include "data/database.h"
@@ -33,27 +34,28 @@ int main() {
   }
   std::printf("query: %s\n", q->DebugString().c_str());
 
-  sharpcq::Database db;
+  sharpcq::DatabaseBuilder builder;
   // advises(advisor, student)
-  db.AddTuple("advises", {1, 100});
-  db.AddTuple("advises", {1, 101});
-  db.AddTuple("advises", {2, 102});
-  db.AddTuple("advises", {2, 100});
+  builder.AddTuple("advises", {1, 100});
+  builder.AddTuple("advises", {1, 101});
+  builder.AddTuple("advises", {2, 102});
+  builder.AddTuple("advises", {2, 100});
   // enrolled(student, course)
-  db.AddTuple("enrolled", {100, 500});
-  db.AddTuple("enrolled", {101, 500});
-  db.AddTuple("enrolled", {102, 501});
-  db.AddTuple("enrolled", {100, 501});
+  builder.AddTuple("enrolled", {100, 500});
+  builder.AddTuple("enrolled", {101, 500});
+  builder.AddTuple("enrolled", {102, 501});
+  builder.AddTuple("enrolled", {100, 501});
   // project(student, project_id)
-  db.AddTuple("project", {100, 900});
-  db.AddTuple("project", {101, 901});
-  db.AddTuple("project", {102, 902});
+  builder.AddTuple("project", {100, 900});
+  builder.AddTuple("project", {101, 901});
+  builder.AddTuple("project", {102, 902});
   // lab(project_or_course, lab_id)
-  db.AddTuple("lab", {900, 7});
-  db.AddTuple("lab", {901, 7});
-  db.AddTuple("lab", {902, 8});
-  db.AddTuple("lab", {500, 7});
-  db.AddTuple("lab", {501, 8});
+  builder.AddTuple("lab", {900, 7});
+  builder.AddTuple("lab", {901, 7});
+  builder.AddTuple("lab", {902, 8});
+  builder.AddTuple("lab", {500, 7});
+  builder.AddTuple("lab", {501, 8});
+  const sharpcq::Database db = std::move(builder).Build();
 
   sharpcq::CountingEngine engine;
 

@@ -13,7 +13,6 @@
 #include "core/legality.h"
 #include "core/sharp_counting.h"
 #include "count/enumeration.h"
-#include "data/var_relation.h"
 #include "gen/paper_queries.h"
 #include "query/atom_relation.h"
 
@@ -25,28 +24,19 @@ using sharpcq::Database;
 using sharpcq::IdSet;
 using sharpcq::Join;
 using sharpcq::Project;
-using sharpcq::Relation;
-using sharpcq::VarRelation;
+using sharpcq::Rel;
 // Intersect/Union are friend functions of IdSet, found via ADL.
 
 // Materializes the join of all atoms touching `vars`, projected onto
 // `vars`, as the stored relation `name` (columns in ascending VarId order).
 void StoreSubqueryView(const ConjunctiveQuery& q, Database* db,
                        const std::string& name, const IdSet& vars) {
-  VarRelation acc = VarRelation::Unit();
-  bool first = true;
+  Rel acc = Rel::Unit();
   for (const Atom& a : q.atoms()) {
-    if (!a.Vars().Intersects(vars)) continue;
-    VarRelation rel = AtomToVarRelation(a, *db);
-    acc = first ? std::move(rel) : Join(acc, rel);
-    first = false;
+    if (a.Vars().Intersects(vars)) acc = Join(acc, AtomToRel(a, *db));
   }
-  VarRelation projected = Project(acc, Intersect(acc.vars(), vars));
-  Relation& stored =
-      db->DeclareRelation(name, static_cast<int>(projected.vars().size()));
-  for (std::size_t i = 0; i < projected.size(); ++i) {
-    stored.AddRow(projected.rel().Row(i));
-  }
+  Rel projected = Project(acc, Intersect(acc.vars(), vars));
+  db->SetTable(name, projected.table());
   std::printf("  stored view %-7s over %-9s (%zu tuples)\n", name.c_str(),
               vars.ToString([&q](std::uint32_t v) { return q.VarName(v); })
                   .c_str(),

@@ -7,14 +7,6 @@
 
 namespace sharpcq {
 
-Rel::Rel(const VarRelation& legacy) : vars_(legacy.vars()) {
-  TableBuilder builder(legacy.rel().arity());
-  builder.ReserveRows(legacy.size());
-  const std::size_t n = legacy.size();
-  for (std::size_t i = 0; i < n; ++i) builder.AddRow(legacy.rel().Row(i));
-  table_ = std::move(builder).Build();
-}
-
 Rel Rel::Unit() {
   TableBuilder builder(0);
   builder.AddRow(std::span<const Value>{});
@@ -239,19 +231,6 @@ std::size_t EstimatedDistinctCount(const Rel& r, const IdSet& onto) {
   if (stats == nullptr) return rows;
   return static_cast<std::size_t>(
       EstimatedDistinctCount(*stats, ColumnsOf(r, key_vars)));
-}
-
-VarRelation ToVarRelation(const Rel& r) {
-  VarRelation out(r.vars());
-  const Table& t = *r.table();
-  std::vector<Value> row(static_cast<std::size_t>(t.arity()));
-  for (std::size_t i = 0; i < t.rows(); ++i) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      row[c] = t.at(i, static_cast<int>(c));
-    }
-    out.rel().AddRow(row);
-  }
-  return out;
 }
 
 }  // namespace sharpcq

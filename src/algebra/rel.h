@@ -6,23 +6,21 @@
 #include <vector>
 
 #include "algebra/table.h"
-#include "data/var_relation.h"
 #include "util/count_int.h"
 #include "util/id_set.h"
 
 namespace sharpcq {
 
-// The kernel's variable-bound relation handle: an IdSet schema (columns in
-// ascending variable id, like VarRelation) over an immutable shared Table.
-// Copying a Rel copies a shared_ptr, never tuple data; operators that keep
-// every row (e.g. a semijoin that removes nothing) return a handle to the
-// *same* table, preserving its cached indexes. This is the storage layer
-// under every counting strategy; data/var_relation.h remains the legacy
-// by-value reference implementation that the differential tests arbitrate
-// against.
+// The kernel's variable-bound relation handle (the set-of-substitutions
+// view of Section 2, "Relational Algebra"): an IdSet schema (columns in
+// ascending variable id, which makes joins positional) over an immutable
+// shared Table. Copying a Rel copies a shared_ptr, never tuple data;
+// operators that keep every row (e.g. a semijoin that removes nothing)
+// return a handle to the *same* table, preserving its cached indexes. This
+// is the storage layer under every counting strategy.
 //
-// Invariant: the table is always a set of rows (deduplicated). Conversion
-// from VarRelation dedups; every kernel operator preserves the invariant.
+// Invariant: the table is always a set of rows (deduplicated); every
+// kernel operator preserves it.
 class Rel {
  public:
   Rel() : table_(Table::Empty(0)) {}
@@ -34,10 +32,6 @@ class Rel {
     SHARPCQ_CHECK(table_ != nullptr &&
                   table_->arity() == static_cast<int>(vars_.size()));
   }
-  // Bridge from the legacy representation (deduplicates). Intentionally
-  // implicit: ported APIs keep accepting VarRelation arguments.
-  Rel(const VarRelation& legacy);  // NOLINT(google-explicit-constructor)
-
   // The substitution with empty domain: the identity for Join.
   static Rel Unit();
 
@@ -114,9 +108,6 @@ std::size_t MaxGroupSize(const Rel& r, const IdSet& onto);
 // are present. Never builds an index and never touches tuple data — unlike
 // DistinctCount, which is exact but pays a grouping pass.
 std::size_t EstimatedDistinctCount(const Rel& r, const IdSet& onto);
-
-// Bridge back to the legacy representation (copies tuple data).
-VarRelation ToVarRelation(const Rel& r);
 
 }  // namespace sharpcq
 

@@ -103,13 +103,9 @@ DataProfile BuildDataProfile(const Database& db,
     if (!db.HasRelation(name)) continue;
     RelationProfile rel;
     rel.name = name;
-    if (std::shared_ptr<const Table> table = db.ColumnarBacking(name);
-        table != nullptr) {
-      rel.rows = table->rows();
-      rel.stats = table->Stats();
-    } else {
-      rel.rows = db.relation(name).size();
-    }
+    const std::shared_ptr<const Table>& table = db.table(name);
+    rel.rows = table->rows();
+    rel.stats = table->Stats();
     profile.relations.push_back(std::move(rel));
   }
   return profile;

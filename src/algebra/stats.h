@@ -85,8 +85,7 @@ std::shared_ptr<const TableStats> PermuteStats(const TableStats& in,
                                                std::span<const int> perm);
 
 // Per-relation slice of a DataProfile. `stats` is null when only the row
-// count is known (row-major relations, or columnar tables whose stats were
-// not requested).
+// count is known (BuildDataProfile always fills it).
 struct RelationProfile {
   std::string name;
   std::uint64_t rows = 0;

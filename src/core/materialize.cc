@@ -12,16 +12,13 @@ Rel MaterializeViewRel(const ViewSet& views, std::size_t view_id,
   if (guard.empty()) {
     SHARPCQ_CHECK_MSG(views.HasName(view_id),
                       "abstract view has neither guards nor a relation");
-    const Relation& stored = db.relation(views.names[view_id]);
+    // The stored table is a set already: share it, with its index cache.
+    const std::shared_ptr<const Table>& stored =
+        db.table(views.names[view_id]);
     SHARPCQ_CHECK_MSG(
-        stored.arity() == static_cast<int>(views.vars[view_id].size()),
+        stored->arity() == static_cast<int>(views.vars[view_id].size()),
         "named view arity mismatch");
-    TableBuilder builder(stored.arity());
-    builder.ReserveRows(stored.size());
-    for (std::size_t i = 0; i < stored.size(); ++i) {
-      builder.AddRow(stored.Row(i));
-    }
-    return Rel(views.vars[view_id], std::move(builder).Build());
+    return Rel(views.vars[view_id], stored);
   }
   Rel joined = AtomToRel(
       guard_query.atoms()[static_cast<std::size_t>(guard[0])], db);
@@ -32,12 +29,6 @@ Rel MaterializeViewRel(const ViewSet& views, std::size_t view_id,
                       db));
   }
   return joined;
-}
-
-VarRelation MaterializeView(const ViewSet& views, std::size_t view_id,
-                            const ConjunctiveQuery& guard_query,
-                            const Database& db) {
-  return ToVarRelation(MaterializeViewRel(views, view_id, guard_query, db));
 }
 
 JoinTreeInstance MaterializeBags(const ConjunctiveQuery& core,

@@ -12,13 +12,9 @@ namespace sharpcq {
 // The relation of one view over `db`: the join of its guard atoms (from
 // `guard_query`) for V^k-style views, or the stored relation for named
 // views (columns in ascending-VarId order). Aborts on purely abstract views.
-// The kernel form is primary; MaterializeView is the legacy by-value shim.
 Rel MaterializeViewRel(const ViewSet& views, std::size_t view_id,
                        const ConjunctiveQuery& guard_query,
                        const Database& db);
-VarRelation MaterializeView(const ViewSet& views, std::size_t view_id,
-                            const ConjunctiveQuery& guard_query,
-                            const Database& db);
 
 // Materializes the bags of a decomposition into an acyclic instance whose
 // solutions are exactly those of `core` on `db`:

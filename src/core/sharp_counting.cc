@@ -21,6 +21,11 @@ const char* CountStatusName(CountStatus status) {
   return "UNKNOWN";
 }
 
+std::string RefusedAllocationText(std::uint64_t bytes) {
+  if (bytes == 0) return "refused an allocation of unknown size";
+  return "refused an allocation of " + std::to_string(bytes) + " bytes";
+}
+
 CountResult CountViaSharpDecomposition(const ConjunctiveQuery& q,
                                        const Database& db,
                                        const SharpDecomposition& d) {
@@ -73,8 +78,5 @@ std::optional<CountResult> CountBySharpHypertree(const ConjunctiveQuery& q,
   result.method = "#-hypertree(k=" + std::to_string(k) + ")";
   return result;
 }
-
-// CountAnswers is defined in engine/legacy_facades.cc: it delegates to the
-// engine layer, which sits above this one.
 
 }  // namespace sharpcq

@@ -26,6 +26,12 @@ enum class CountStatus : std::uint8_t {
 
 const char* CountStatusName(CountStatus status);
 
+// How a kResourceExhausted count reports its refused allocation to an
+// operator: "refused an allocation of N bytes", or "refused an allocation
+// of unknown size" when `bytes` is 0 (a std::bad_alloc no budget charged).
+// The CLI and the daemon both print this.
+std::string RefusedAllocationText(std::uint64_t bytes);
+
 // Outcome of a counting call, with provenance for diagnostics and the
 // experiment harness.
 struct CountResult {
@@ -98,22 +104,6 @@ CountResult CountViaSharpDecomposition(const ConjunctiveQuery& q,
 std::optional<CountResult> CountBySharpHypertree(const ConjunctiveQuery& q,
                                                  const Database& db, int k,
                                                  std::size_t max_cores = 8);
-
-struct CountOptions {
-  int max_width = 3;          // largest #-hypertree width to attempt
-  std::size_t max_cores = 8;  // substructure cores to try per width
-};
-
-// DEPRECATED legacy facade: tries #-hypertree decompositions of width 1..
-// max_width and falls back to the backtracking baseline when the query has
-// no bounded-width decomposition. Always returns the exact count.
-//
-// This is now a thin wrapper over the unified plan/execute engine
-// (engine/engine.h), sharing its process-wide plan cache; new code should
-// construct a CountingEngine directly, which also unlocks the acyclic-PS13
-// and hybrid #b strategies this facade keeps disabled for compatibility.
-CountResult CountAnswers(const ConjunctiveQuery& q, const Database& db,
-                         const CountOptions& options = {});
 
 }  // namespace sharpcq
 

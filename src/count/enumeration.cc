@@ -5,7 +5,6 @@
 
 #include "algebra/exec_policy.h"
 #include "algebra/rel.h"
-#include "data/var_relation.h"
 #include "query/atom_relation.h"
 #include "util/check.h"
 
@@ -35,14 +34,31 @@ Rel JoinAll(std::vector<Rel> rels) {
   return acc;
 }
 
-// Variable-oriented backtracking counter. Deliberately stays on the legacy
-// VarRelation representation: this is the independent oracle the kernel's
-// differential tests are judged against.
+// One atom's satisfying rows, flat and row-major: vars.size() values per
+// row, columns in ascending variable id.
+struct AtomRows {
+  IdSet vars;
+  std::vector<Value> values;
+  std::size_t rows = 0;
+
+  const Value* Row(std::size_t i) const {
+    return values.data() + i * vars.size();
+  }
+};
+
+// Variable-oriented backtracking counter. Deliberately independent of the
+// relational kernel it judges: each atom's rows come from a plain scan of
+// the stored table into a buffer private to the counter, and the search
+// calls no kernel operator (no Join, Semijoin, Project, or index). This is
+// the oracle the kernel's differential tests are judged against.
 class BacktrackCounter {
  public:
   BacktrackCounter(const ConjunctiveQuery& q, const Database& db) : q_(q) {
-    for (const Atom& a : q.atoms()) {
-      atom_rels_.push_back(AtomToVarRelation(a, db));
+    atom_rows_.resize(q.atoms().size());
+    for (std::size_t i = 0; i < atom_rows_.size(); ++i) {
+      const Atom& a = q.atoms()[i];
+      atom_rows_[i].vars = a.Vars();
+      atom_rows_[i].rows = AppendAtomRows(a, db, &atom_rows_[i].values);
     }
     // Variable order: free variables first, then existential; within each
     // group, ascending id.
@@ -51,8 +67,8 @@ class BacktrackCounter {
     for (VarId v : q.ExistentialVars()) order_.push_back(v);
 
     // Per-variable: atoms containing it.
-    for (std::size_t i = 0; i < atom_rels_.size(); ++i) {
-      for (VarId v : atom_rels_[i].vars()) {
+    for (std::size_t i = 0; i < atom_rows_.size(); ++i) {
+      for (VarId v : atom_rows_[i].vars) {
         atoms_of_[v].push_back(i);
       }
     }
@@ -61,8 +77,8 @@ class BacktrackCounter {
   }
 
   CountInt Count() {
-    for (const VarRelation& r : atom_rels_) {
-      if (r.empty()) return 0;
+    for (const AtomRows& r : atom_rows_) {
+      if (r.rows == 0) return 0;
     }
     CountInt count = 0;
     Recurse(0, &count);
@@ -73,17 +89,17 @@ class BacktrackCounter {
   // True if atom `i` has a row consistent with the current partial
   // assignment (checking only bound variables).
   bool AtomConsistent(std::size_t i) const {
-    const VarRelation& r = atom_rels_[i];
-    for (std::size_t row = 0; row < r.size(); ++row) {
+    const AtomRows& r = atom_rows_[i];
+    for (std::size_t row = 0; row < r.rows; ++row) {
       if (RowMatches(r, row)) return true;
     }
     return false;
   }
 
-  bool RowMatches(const VarRelation& r, std::size_t row) const {
-    auto tuple = r.rel().Row(row);
+  bool RowMatches(const AtomRows& r, std::size_t row) const {
+    const Value* tuple = r.Row(row);
     std::size_t c = 0;
-    for (VarId v : r.vars()) {
+    for (VarId v : r.vars) {
       if (bound_[v] && tuple[c] != value_[v]) return false;
       ++c;
     }
@@ -138,15 +154,14 @@ class BacktrackCounter {
                       "variable occurs in no atom");
     std::size_t best = it->second[0];
     for (std::size_t i : it->second) {
-      if (atom_rels_[i].size() < atom_rels_[best].size()) best = i;
+      if (atom_rows_[i].rows < atom_rows_[best].rows) best = i;
     }
-    const VarRelation& r = atom_rels_[best];
-    int col = r.ColumnOf(v);
+    const AtomRows& r = atom_rows_[best];
+    const std::size_t col = static_cast<std::size_t>(
+        std::lower_bound(r.vars.begin(), r.vars.end(), v) - r.vars.begin());
     std::vector<Value> values;
-    for (std::size_t row = 0; row < r.size(); ++row) {
-      if (RowMatches(r, row)) {
-        values.push_back(r.rel().Row(row)[static_cast<std::size_t>(col)]);
-      }
+    for (std::size_t row = 0; row < r.rows; ++row) {
+      if (RowMatches(r, row)) values.push_back(r.Row(row)[col]);
     }
     std::sort(values.begin(), values.end());
     values.erase(std::unique(values.begin(), values.end()), values.end());
@@ -163,7 +178,7 @@ class BacktrackCounter {
   }
 
   const ConjunctiveQuery& q_;
-  std::vector<VarRelation> atom_rels_;
+  std::vector<AtomRows> atom_rows_;
   std::vector<VarId> order_;
   std::size_t num_free_ = 0;
   std::unordered_map<VarId, std::vector<std::size_t>> atoms_of_;

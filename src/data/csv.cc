@@ -4,6 +4,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <optional>
 #include <string_view>
 
 #include "util/failpoint.h"
@@ -111,13 +112,46 @@ CsvResult OpenCsvFile(const std::string& path, std::ifstream* in) {
   return ok;
 }
 
+void AppendRows(const Table& table, TableBuilder* builder) {
+  std::vector<Value> row(static_cast<std::size_t>(table.arity()));
+  for (std::size_t i = 0; i < table.rows(); ++i) {
+    for (int c = 0; c < table.arity(); ++c) {
+      row[static_cast<std::size_t>(c)] = table.at(i, c);
+    }
+    builder->AddRow(row);
+  }
+}
+
 }  // namespace
 
 CsvResult LoadRelationCsv(std::istream& in, const std::string& relation,
                           Database* db, ValueDict* dict) {
-  return ParseCsv(in, dict, [db, &relation](std::span<const Value> row) {
-    db->AddTuple(relation, row);
-  });
+  // Tables are immutable: the parsed rows go into one new table, after the
+  // stored rows when the relation exists, and replace it only once the
+  // whole input parsed. Build dedups, so the relation stays a set.
+  std::shared_ptr<const Table> stored =
+      db->HasRelation(relation) ? db->table(relation) : nullptr;
+  std::optional<TableBuilder> builder;
+  CsvResult result =
+      ParseCsv(in, dict, [&](std::span<const Value> row) {
+        if (!builder.has_value()) {
+          builder.emplace(static_cast<int>(row.size()));
+          if (stored != nullptr && stored->arity() == builder->arity()) {
+            builder->ReserveRows(stored->rows());
+            AppendRows(*stored, &*builder);
+          }
+        }
+        builder->AddRow(row);
+      });
+  if (!result.ok()) return result;
+  if (stored != nullptr && stored->arity() != builder->arity()) {
+    return Fail(CsvStatus::kParseError,
+                "arity " + std::to_string(builder->arity()) +
+                    " does not match relation " + relation + " (arity " +
+                    std::to_string(stored->arity()) + ")");
+  }
+  db->SetTable(relation, std::move(*builder).Build());
+  return result;
 }
 
 CsvResult LoadRelationCsvFile(const std::string& path,
@@ -142,15 +176,14 @@ CsvResult ParseCsvFileToSink(const std::string& path, const CsvRowSink& sink,
 
 void WriteRelationCsv(const Database& db, const std::string& relation,
                       std::ostream& out, const ValueDict* dict) {
-  const Relation& rel = db.relation(relation);
-  for (std::size_t i = 0; i < rel.size(); ++i) {
-    auto row = rel.Row(i);
-    for (std::size_t c = 0; c < row.size(); ++c) {
+  const Table& table = *db.table(relation);
+  for (std::size_t i = 0; i < table.rows(); ++i) {
+    for (int c = 0; c < table.arity(); ++c) {
       if (c > 0) out << ',';
       if (dict != nullptr) {
-        out << dict->NameOf(row[c]);
+        out << dict->NameOf(table.at(i, c));
       } else {
-        out << row[c];
+        out << table.at(i, c);
       }
     }
     out << '\n';

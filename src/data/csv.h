@@ -39,7 +39,10 @@ struct CsvResult {
   explicit operator bool() const { return ok(); }
 };
 
-// Loads one relation into `db`.
+// Loads one relation into `db`: a new relation, or the union of the
+// stored rows and the parsed ones when `db` already holds it. `db` is left
+// unchanged on failure, including a CSV whose arity differs from the
+// stored relation's (kParseError).
 CsvResult LoadRelationCsv(std::istream& in, const std::string& relation,
                           Database* db, ValueDict* dict = nullptr);
 

@@ -1,147 +1,56 @@
 #include "data/database.h"
 
-#include <algorithm>
-
-#include "algebra/table.h"
 #include "util/check.h"
 
 namespace sharpcq {
 
-Relation& Database::DeclareRelation(const std::string& name, int arity) {
-  auto columnar = columnar_.find(name);
-  if (columnar != columnar_.end()) {
-    Relation& rel = const_cast<Relation&>(  // cache entry we own
-        Materialize(name, *columnar->second));
-    columnar_.erase(columnar);
-    SHARPCQ_CHECK_MSG(rel.arity() == arity, name.c_str());
-    return rel;
-  }
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
-    it = relations_.emplace(name, Relation(arity)).first;
-  }
-  SHARPCQ_CHECK_MSG(it->second.arity() == arity, name.c_str());
-  return it->second;
-}
-
-void Database::AdoptColumnar(const std::string& name,
-                             std::shared_ptr<const Table> table) {
+void Database::SetTable(const std::string& name,
+                        std::shared_ptr<const Table> table) {
   SHARPCQ_CHECK(table != nullptr);
-  relations_.erase(name);
-  columnar_[name] = std::move(table);
+  tables_[name] = std::move(table);
 }
 
-std::shared_ptr<const Table> Database::ColumnarBacking(
+const std::shared_ptr<const Table>& Database::table(
     const std::string& name) const {
-  auto it = columnar_.find(name);
-  return it == columnar_.end() ? nullptr : it->second;
-}
-
-const Relation& Database::Materialize(const std::string& name,
-                                      const Table& table) const {
-  std::lock_guard<std::mutex> lock(materialize_mu_);
-  auto it = relations_.find(name);
-  if (it != relations_.end()) return it->second;
-  Relation rel(table.arity());
-  std::vector<Value> row(static_cast<std::size_t>(table.arity()));
-  for (std::size_t i = 0; i < table.rows(); ++i) {
-    for (int c = 0; c < table.arity(); ++c) {
-      row[static_cast<std::size_t>(c)] = table.at(i, c);
-    }
-    rel.AddRow(row);
-  }
-  return relations_.emplace(name, std::move(rel)).first->second;
-}
-
-const Relation& Database::relation(const std::string& name) const {
-  {
-    // Locked even for the plain lookup: a concurrent relation() call may be
-    // materializing (inserting) right now, and unordered_map rehash would
-    // invalidate an unlocked find. References stay valid across inserts, so
-    // callers keep their refs lock-free.
-    std::lock_guard<std::mutex> lock(materialize_mu_);
-    auto it = relations_.find(name);
-    if (it != relations_.end()) return it->second;
-  }
-  auto columnar = columnar_.find(name);
-  SHARPCQ_CHECK_MSG(columnar != columnar_.end(), name.c_str());
-  return Materialize(name, *columnar->second);
-}
-
-Relation& Database::mutable_relation(const std::string& name) {
-  auto columnar = columnar_.find(name);
-  if (columnar != columnar_.end()) {
-    Relation& rel =
-        const_cast<Relation&>(Materialize(name, *columnar->second));
-    columnar_.erase(columnar);
-    return rel;
-  }
-  auto it = relations_.find(name);
-  SHARPCQ_CHECK_MSG(it != relations_.end(), name.c_str());
+  auto it = tables_.find(name);
+  SHARPCQ_CHECK_MSG(it != tables_.end(), name.c_str());
   return it->second;
-}
-
-void Database::DedupAll() {
-  for (const std::string& name : SortedRelationNames()) {
-    if (columnar_.count(name) > 0) continue;  // tables are sets already
-    relations_.at(name).Dedup();
-  }
-}
-
-std::size_t Database::MaxRelationSize() const {
-  std::lock_guard<std::mutex> lock(materialize_mu_);
-  std::size_t m = 0;
-  for (const auto& [name, rel] : relations_) {
-    if (columnar_.count(name) > 0) continue;  // counted below
-    m = std::max(m, rel.size());
-  }
-  for (const auto& [name, table] : columnar_) m = std::max(m, table->rows());
-  return m;
 }
 
 std::size_t Database::TotalTuples() const {
-  std::lock_guard<std::mutex> lock(materialize_mu_);
   std::size_t total = 0;
-  for (const auto& [name, rel] : relations_) {
-    if (columnar_.count(name) > 0) continue;  // the backing is authoritative
-    total += rel.size();
-  }
-  for (const auto& [name, table] : columnar_) total += table->rows();
+  for (const auto& [name, table] : tables_) total += table->rows();
   return total;
-}
-
-bool Database::HasRelation(const std::string& name) const {
-  if (columnar_.count(name) > 0) return true;
-  std::lock_guard<std::mutex> lock(materialize_mu_);
-  return relations_.count(name) > 0;
 }
 
 std::vector<std::string> Database::SortedRelationNames() const {
   std::vector<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(materialize_mu_);
-    names.reserve(relations_.size() + columnar_.size());
-    for (const auto& [name, rel] : relations_) names.push_back(name);
-    for (const auto& [name, table] : columnar_) {
-      if (relations_.count(name) == 0) names.push_back(name);
-    }
-  }
-  std::sort(names.begin(), names.end());
+  names.reserve(tables_.size());
+  for (const auto& [name, table] : tables_) names.push_back(name);
   return names;
 }
 
-int Database::RelationArity(const std::string& name) const {
-  auto columnar = columnar_.find(name);
-  if (columnar != columnar_.end()) return columnar->second->arity();
-  std::lock_guard<std::mutex> lock(materialize_mu_);
-  auto it = relations_.find(name);
-  SHARPCQ_CHECK_MSG(it != relations_.end(), name.c_str());
-  return it->second.arity();
+TableBuilder& DatabaseBuilder::Declared(const std::string& name, int arity) {
+  auto it = relations_.try_emplace(name, arity).first;
+  SHARPCQ_CHECK_MSG(it->second.arity() == arity, name.c_str());
+  return it->second;
 }
 
-const std::unordered_map<std::string, Relation>& Database::relations() const {
-  for (const auto& [name, table] : columnar_) Materialize(name, *table);
-  return relations_;
+void DatabaseBuilder::DeclareRelation(const std::string& name, int arity) {
+  Declared(name, arity);
+}
+
+void DatabaseBuilder::AddTuple(const std::string& name,
+                               std::span<const Value> row) {
+  Declared(name, static_cast<int>(row.size())).AddRow(row);
+}
+
+Database DatabaseBuilder::Build() && {
+  Database db;
+  for (auto& [name, builder] : relations_) {
+    db.SetTable(name, std::move(builder).Build());
+  }
+  return db;
 }
 
 }  // namespace sharpcq

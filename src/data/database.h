@@ -2,137 +2,72 @@
 #define SHARPCQ_DATA_DATABASE_H_
 
 #include <initializer_list>
+#include <map>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "data/relation.h"
+#include "algebra/table.h"
 #include "data/value.h"
 
 namespace sharpcq {
 
-class Table;
-
-// A database instance: a finite structure mapping relation symbols to
-// relation instances (Section 2, "Relational Databases").
+// A database instance: a finite set of ground atoms, stored as a map from
+// relation symbol to relation instance (Section 2, "Relational Databases").
 //
-// Relations come in two physical forms. Row-major `Relation`s are the
-// mutable build-time form (AddTuple, CSV ingest, the random generators).
-// Columnar `algebra::Table`s are the immutable serving form installed by
-// the storage layer (AdoptColumnar): a database loaded from a mapped
-// snapshot holds only column views into the file's pages and shares them
-// across processes. The counting bridge (query/atom_relation.cc) reads the
-// columnar form directly; anything that asks for the row-major view of a
-// columnar relation (relation(), relations()) gets a lazily materialized
-// copy — built once under a mutex, like the kernel's index caches — so
-// legacy consumers keep working unchanged.
+// Every relation is an immutable, deduplicated Table (algebra/table.h):
+// the form all counting strategies execute on. Copying a Database copies
+// one shared_ptr per relation, never tuple data, and tables are safe to
+// read from any number of threads. Databases come from a DatabaseBuilder,
+// from CSV (data/csv.h), or from a mapped snapshot (storage/snapshot.h).
 class Database {
  public:
-  Database() = default;
+  // Installs `table` as relation `name`, replacing any relation of that
+  // name. The table must be a set of rows (every published Table is; see
+  // algebra/table.h): the atom bridge shares stored tables unchanged, so
+  // counts depend on it.
+  void SetTable(const std::string& name, std::shared_ptr<const Table> table);
 
-  // Copies and moves transfer both physical forms but never the
-  // materialization mutex (spelled out because std::mutex is neither
-  // copyable nor movable). Columnar backings are immutable and shared.
-  // Copying locks the source: copying a const Database is a const access,
-  // and another thread may be lazily materializing into its relations_
-  // map right now. Moving requires exclusive access to the source, like
-  // any mutation.
-  Database(const Database& other) {
-    std::lock_guard<std::mutex> lock(other.materialize_mu_);
-    relations_ = other.relations_;
-    columnar_ = other.columnar_;
+  // The table of `name`; aborts if absent (query evaluation treats a
+  // missing relation as a configuration error, not an empty relation).
+  const std::shared_ptr<const Table>& table(const std::string& name) const;
+
+  bool HasRelation(const std::string& name) const {
+    return tables_.count(name) > 0;
   }
-  Database& operator=(const Database& other) {
-    if (this != &other) {
-      std::lock_guard<std::mutex> lock(other.materialize_mu_);
-      relations_ = other.relations_;
-      columnar_ = other.columnar_;
-    }
-    return *this;
-  }
-  Database(Database&& other) noexcept
-      : relations_(std::move(other.relations_)),
-        columnar_(std::move(other.columnar_)) {}
-  Database& operator=(Database&& other) noexcept {
-    if (this != &other) {
-      relations_ = std::move(other.relations_);
-      columnar_ = std::move(other.columnar_);
-    }
-    return *this;
-  }
-
-  // Declares `name` with `arity` (idempotent; arity mismatch aborts). A
-  // columnar relation of that name is materialized first and its backing
-  // dropped — the caller received a mutable handle, so the immutable
-  // columnar copy can no longer be trusted to match.
-  Relation& DeclareRelation(const std::string& name, int arity);
-
-  // Adds a tuple, declaring the relation on first use.
-  void AddTuple(const std::string& name, std::initializer_list<Value> row) {
-    DeclareRelation(name, static_cast<int>(row.size())).AddRow(row);
-  }
-  void AddTuple(const std::string& name, std::span<const Value> row) {
-    DeclareRelation(name, static_cast<int>(row.size())).AddRow(row);
-  }
-
-  // Installs an immutable columnar table as relation `name`, replacing any
-  // existing relation of that name. The table must be a set of rows (every
-  // published Table is; see algebra/table.h).
-  void AdoptColumnar(const std::string& name,
-                     std::shared_ptr<const Table> table);
-
-  // The columnar backing of `name`, or nullptr when the relation is
-  // row-major only (or absent). The fast path of the atom bridge.
-  std::shared_ptr<const Table> ColumnarBacking(const std::string& name) const;
-
-  bool HasRelation(const std::string& name) const;
-
-  // The row-major view of `name`; aborts if absent (query evaluation treats
-  // a missing relation as a configuration error, not an empty relation).
-  // Columnar relations are materialized on first access.
-  const Relation& relation(const std::string& name) const;
-  // Mutable access materializes and drops the columnar backing (see
-  // DeclareRelation).
-  Relation& mutable_relation(const std::string& name);
-
-  // Deduplicates every relation (databases are sets of ground atoms), in
-  // sorted name order. Columnar relations are sets already and are skipped.
-  void DedupAll();
-
-  // Number of tuples in the largest relation (the paper's `m`).
-  std::size_t MaxRelationSize() const;
 
   // Total number of tuples across relations.
   std::size_t TotalTuples() const;
 
-  // Every relation name (both physical forms), sorted: the iteration order
-  // for snapshots, CSV exports, and debug dumps, so output is byte-stable
-  // across runs regardless of hash-map layout.
+  // Every relation name, sorted: the iteration order for snapshots, CSV
+  // exports, and debug dumps, so output is byte-stable across runs.
   std::vector<std::string> SortedRelationNames() const;
 
-  // The arity of `name`, from whichever physical form holds it; aborts if
-  // absent. Does not materialize.
-  int RelationArity(const std::string& name) const;
+ private:
+  std::map<std::string, std::shared_ptr<const Table>> tables_;
+};
 
-  // The row-major map. Materializes every columnar relation first so
-  // iterator-based consumers (e.g. solver/hom_target.cc) see the complete
-  // database; after this call the map is stable until the next mutation.
-  const std::unordered_map<std::string, Relation>& relations() const;
+// Accumulates tuples and publishes them as a Database. Duplicate tuples
+// are fine: Build dedups each relation through TableBuilder::Build.
+class DatabaseBuilder {
+ public:
+  // Declares `name` with `arity` (idempotent; arity mismatch aborts). A
+  // declared relation with no tuples is published as an empty table.
+  void DeclareRelation(const std::string& name, int arity);
+
+  // Adds a tuple, declaring the relation on first use.
+  void AddTuple(const std::string& name, std::span<const Value> row);
+  void AddTuple(const std::string& name, std::initializer_list<Value> row) {
+    AddTuple(name, std::span<const Value>(row.begin(), row.size()));
+  }
+
+  Database Build() &&;
 
  private:
-  // Returns the materialized row-major copy of a columnar relation,
-  // building and caching it under materialize_mu_ on first use.
-  const Relation& Materialize(const std::string& name,
-                              const Table& table) const;
+  TableBuilder& Declared(const std::string& name, int arity);
 
-  // Invariant: a name present in both maps has identical contents in both
-  // (the relations_ entry is the cached materialization of the columnar_
-  // one). Mutable access breaks the tie by dropping the columnar_ entry.
-  mutable std::unordered_map<std::string, Relation> relations_;
-  std::unordered_map<std::string, std::shared_ptr<const Table>> columnar_;
-  mutable std::mutex materialize_mu_;  // guards lazy inserts into relations_
+  std::map<std::string, TableBuilder> relations_;
 };
 
 }  // namespace sharpcq

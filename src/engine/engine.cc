@@ -24,6 +24,34 @@ SlowQueryLog::Options SlowLogOptions(const EngineOptions& options) {
   return o;
 }
 
+// Runs `fn`, turning the exceptions that stop an execution into the failed
+// CountResult they stand for: a deadline or cancellation, a refused budget
+// charge, or a std::bad_alloc no budget charged (an allocation failed with
+// no budget configured, or at a growth site the budgets miss; its size is
+// unknown). The query fails; the process and every other query keep going.
+// Returns false, with *result set, on failure.
+template <typename Fn>
+bool RunGuarded(CountResult* result, Fn&& fn) {
+  try {
+    fn();
+    return true;
+  } catch (const ExecInterrupted& interrupted) {
+    *result = CountResult{};
+    result->status = interrupted.reason == CancelToken::StopReason::kDeadline
+                         ? CountStatus::kDeadlineExceeded
+                         : CountStatus::kCancelled;
+  } catch (const ExecResourceExhausted& exhausted) {
+    *result = CountResult{};
+    result->status = CountStatus::kResourceExhausted;
+    result->mem_refused_bytes = exhausted.requested_bytes;
+  } catch (const std::bad_alloc&) {
+    *result = CountResult{};
+    result->status = CountStatus::kResourceExhausted;
+  }
+  result->method = "interrupted";
+  return false;
+}
+
 }  // namespace
 
 std::optional<PlannerOptions> PlannerOptionsForStrategy(
@@ -134,6 +162,12 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
   // lazily once per table and cached (or preloaded from a v2 snapshot), so
   // per-call cost is a few map lookups; the fingerprint keys the plan
   // cache per data-profile class.
+  //
+  // Computing a table's stats builds indexes, so profiling can fail like
+  // an execution; the query then fails before executing (it is still
+  // planned, without the profile, so the bookkeeping below has a plan).
+  CountResult result;
+  bool profiled = true;
   DataProfile profile;
   const DataProfile* profile_ptr = nullptr;
   if (options_.enable_cost_model) {
@@ -142,8 +176,9 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
     names.reserve(q.NumAtoms());
     for (const Atom& atom : q.atoms()) names.push_back(atom.relation);
     span.NoteCount("relations", names.size());
-    profile = BuildDataProfile(db, names);
-    profile_ptr = &profile;
+    profiled = RunGuarded(
+        &result, [&] { profile = BuildDataProfile(db, names); });
+    if (profiled) profile_ptr = &profile;
   }
   Planned planned;
   {
@@ -195,30 +230,13 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
   // them (results never change; only the consult is gated).
   std::optional<MissFilterDisableScope> no_filters;
   if (!options_.enable_probe_filters) no_filters.emplace();
-  CountResult result;
   {
     TraceSpan span("execute");
-    try {
-      CheckExecInterrupt();  // expired before execution: fail without a probe
-      result = ExecutePlan(*planned.plan, db);
-    } catch (const ExecInterrupted& interrupted) {
-      result = CountResult{};
-      result.status = interrupted.reason == CancelToken::StopReason::kDeadline
-                          ? CountStatus::kDeadlineExceeded
-                          : CountStatus::kCancelled;
-      result.method = "interrupted";
-    } catch (const ExecResourceExhausted& exhausted) {
-      result = CountResult{};
-      result.status = CountStatus::kResourceExhausted;
-      result.method = "interrupted";
-      result.mem_refused_bytes = exhausted.requested_bytes;
-    } catch (const std::bad_alloc&) {
-      // An allocation no budget charged failed (no budget configured, or a
-      // growth site the budgets miss): this query fails, the process and
-      // every other query keep going. The refused size is unknown.
-      result = CountResult{};
-      result.status = CountStatus::kResourceExhausted;
-      result.method = "interrupted";
+    if (profiled) {
+      RunGuarded(&result, [&] {
+        CheckExecInterrupt();  // expired before execution: fail unprobed
+        result = ExecutePlan(*planned.plan, db);
+      });
     }
     // Pool workers contribute through the ExecStats atomics, never the
     // trace; their totals are annotated here, when the span closes.

@@ -128,10 +128,6 @@ struct CountJob {
 // execution path is a pure function of (plan, database) — see the
 // "Concurrency model" section of DESIGN.md. CountBatch/CountAsync run jobs
 // on the engine's work-stealing thread pool.
-//
-// The legacy facades CountAnswers (core/sharp_counting.h) and
-// CountAnswersWithHybrid (hybrid/hybrid_counting.h) are thin wrappers over
-// the process-wide Shared() engine with their historical strategy gates.
 class CountingEngine {
  public:
   explicit CountingEngine(EngineOptions options = {});
@@ -207,8 +203,8 @@ class CountingEngine {
   // slow_query_* options above. The daemon's `inspect slowlog=1` reads it.
   SlowQueryLog& slow_query_log() { return slow_log_; }
 
-  // The process-wide engine used by the legacy facades and the enumeration
-  // path; all of them share one plan cache.
+  // The process-wide engine used by the enumeration path, sharing one plan
+  // cache across its callers.
   static CountingEngine& Shared();
 
  private:

@@ -23,8 +23,7 @@ namespace sharpcq {
 //   kAcyclicPs13     PS13 over the join tree of the plan's query itself.
 //   kSharpB          per-database #b-decomposition search (widths
 //                    2..max_width), Theorem 6.6 counting on success,
-//                    backtracking fallback otherwise — mirroring the legacy
-//                    hybrid facade.
+//                    backtracking fallback otherwise.
 //   kBacktracking    the enumerate-with-projection baseline.
 CountResult ExecutePlan(const CountingPlan& plan, const Database& db);
 

@@ -35,14 +35,14 @@ const char* PlanStrategyName(PlanStrategy strategy);
 struct PlannerOptions {
   int max_width = 3;          // largest width attempted (#-htw and #b)
   std::size_t max_cores = 8;  // substructure cores tried per width
-  // Strategy gates. The legacy facades disable the strategies they predate.
+  // Strategy gates.
   bool enable_acyclic_ps13 = true;
   bool enable_hybrid = true;
   // With full_profile the plan carries the complete QueryAnalysis (htw,
   // star size, core/frontier shape) for diagnostics. Without it planning
   // computes only what strategy selection needs — acyclicity and the
-  // #-hypertree search — which keeps one-shot cold planning (the legacy
-  // facades, enumeration) as cheap as the pre-engine code paths.
+  // #-hypertree search — which keeps one-shot cold planning (e.g.
+  // enumeration) cheap.
   bool full_profile = true;
   // Pass-through for the hybrid search (hybrid/sharp_b.h).
   std::size_t hybrid_max_b = static_cast<std::size_t>(-1);

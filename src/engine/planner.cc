@@ -23,7 +23,7 @@ constexpr std::uint64_t kDegreeSteerThreshold = 256;
 
 // The largest per-column group size the profile reports across the query's
 // relations — the profile's upper bound on the instance degree h that
-// drives PS13's cost. Relations without stats (row-major, unknown) report
+// drives PS13's cost. Relations without stats (absent, unknown) report
 // 0 and never steer.
 std::uint64_t MaxQueryDegree(const ConjunctiveQuery& q,
                              const DataProfile& profile) {

@@ -22,7 +22,7 @@ constexpr Value kInfoBase = 7000;
 
 // Adds `count` distinct random pairs (a_pick(), b_pick()) to `rel`.
 template <typename FnA, typename FnB>
-void AddRandomPairs(Database* db, const std::string& rel, int count,
+void AddRandomPairs(DatabaseBuilder* db, const std::string& rel, int count,
                     std::mt19937_64* rng, const FnA& a_pick,
                     const FnB& b_pick) {
   std::set<std::pair<Value, Value>> seen;
@@ -62,7 +62,7 @@ Database MakeQ0Database(const Q0DatabaseParams& p) {
       return base + static_cast<Value>((*r)() % static_cast<std::uint64_t>(n));
     };
   };
-  Database db;
+  DatabaseBuilder db;
   // mw(machine, worker, hours)
   {
     std::set<std::pair<Value, Value>> seen;
@@ -99,8 +99,7 @@ Database MakeQ0Database(const Q0DatabaseParams& p) {
   };
   AddRandomPairs(&db, "rr", p.rr_tuples, &rng, task_or_subtask,
                  pick(kResourceBase, p.resources));
-  db.DedupAll();
-  return db;
+  return std::move(db).Build();
 }
 
 ConjunctiveQuery MakeQ1() {
@@ -115,7 +114,7 @@ ConjunctiveQuery MakeQ1() {
 
 Database MakeQ1Database(int n, int tuples, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
-  Database db;
+  DatabaseBuilder db;
   auto any = [n](std::mt19937_64* r) {
     return static_cast<Value>((*r)() % static_cast<std::uint64_t>(n));
   };
@@ -123,8 +122,7 @@ Database MakeQ1Database(int n, int tuples, std::uint64_t seed) {
     db.DeclareRelation(rel, 2);
     AddRandomPairs(&db, rel, tuples, &rng, any, any);
   }
-  db.DedupAll();
-  return db;
+  return std::move(db).Build();
 }
 
 ConjunctiveQuery MakeQh2(int h) {
@@ -148,7 +146,7 @@ ConjunctiveQuery MakeQh2(int h) {
 Database MakeQh2Database(int h) {
   SHARPCQ_CHECK(h >= 1 && h <= 24);
   const std::int64_t m = std::int64_t{1} << h;
-  Database db;
+  DatabaseBuilder db;
   constexpr Value kABase = 1000000;
   constexpr Value kB = 10;
   constexpr Value kC = 11;
@@ -170,7 +168,7 @@ Database MakeQh2Database(int h) {
     db.AddTuple("w" + std::to_string(i), {kB, 0});
     db.AddTuple("w" + std::to_string(i), {kC, 1});
   }
-  return db;
+  return std::move(db).Build();
 }
 
 Hypertree MakeQh2NaiveHypertree(const ConjunctiveQuery& q, int h) {
@@ -240,7 +238,7 @@ ConjunctiveQuery MakeQbarh2(int h) {
 Database MakeQbarh2Database(int h, int z_domain) {
   SHARPCQ_CHECK(h >= 1 && h <= 20 && z_domain >= 1);
   const std::int64_t m = std::int64_t{1} << h;
-  Database db;
+  DatabaseBuilder db;
   constexpr Value kABase = 1000000;
   constexpr Value kZBase = 2000000;
   constexpr Value kB = 10;
@@ -271,7 +269,7 @@ Database MakeQbarh2Database(int h, int z_domain) {
     db.AddTuple("v", {kZBase + z, kB});
     db.AddTuple("v", {kZBase + z, kC});
   }
-  return db;
+  return std::move(db).Build();
 }
 
 ConjunctiveQuery MakeQn1(int n) {
@@ -289,21 +287,20 @@ ConjunctiveQuery MakeQn1(int n) {
 }
 
 Database MakeQn1CycleDatabase(int d) {
-  Database db;
+  DatabaseBuilder db;
   for (int i = 0; i < d; ++i) db.AddTuple("r", {i, (i + 1) % d});
-  return db;
+  return std::move(db).Build();
 }
 
 Database MakeQn1RandomDatabase(int d, int edges, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
-  Database db;
+  DatabaseBuilder db;
   db.DeclareRelation("r", 2);
   auto any = [d](std::mt19937_64* r) {
     return static_cast<Value>((*r)() % static_cast<std::uint64_t>(d));
   };
   AddRandomPairs(&db, "r", edges, &rng, any, any);
-  db.DedupAll();
-  return db;
+  return std::move(db).Build();
 }
 
 ConjunctiveQuery MakeQn2(int n) {
@@ -336,7 +333,7 @@ ConjunctiveQuery MakeCliqueQuery(int k) {
 Database MakeRandomGraphDatabase(int n, double p, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
-  Database db;
+  DatabaseBuilder db;
   db.DeclareRelation("e", 2);
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
@@ -346,7 +343,7 @@ Database MakeRandomGraphDatabase(int n, double p, std::uint64_t seed) {
       }
     }
   }
-  return db;
+  return std::move(db).Build();
 }
 
 }  // namespace sharpcq

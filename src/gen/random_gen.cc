@@ -87,7 +87,7 @@ Database MakeRandomDatabase(const ConjunctiveQuery& q,
                             const RandomDatabaseParams& p) {
   SHARPCQ_CHECK(p.domain >= 1);
   std::mt19937_64 rng(p.seed);
-  Database db;
+  DatabaseBuilder db;
   std::set<std::string> declared;
   for (const Atom& a : q.atoms()) {
     db.DeclareRelation(a.relation, a.arity());
@@ -100,8 +100,7 @@ Database MakeRandomDatabase(const ConjunctiveQuery& q,
       db.AddTuple(a.relation, std::span<const Value>(row));
     }
   }
-  db.DedupAll();
-  return db;
+  return std::move(db).Build();
 }
 
 }  // namespace sharpcq

@@ -3,7 +3,6 @@
 
 #include "count/join_tree_instance.h"
 #include "data/database.h"
-#include "data/var_relation.h"
 #include "decomp/hypertree.h"
 #include "query/conjunctive_query.h"
 #include "util/id_set.h"
@@ -14,7 +13,7 @@ namespace sharpcq {
 // variables F is the largest number of rows sharing one projection onto F:
 // how many ways a partial answer extends inside this relation. Keys give
 // degree 1; "quasi-keys" give small degrees. Streamed off the relation's
-// cached group index (legacy VarRelations convert implicitly).
+// cached group index.
 std::size_t DegreeOfRelation(const Rel& rel, const IdSet& free);
 
 // bound(D, HD) over a materialized instance: the maximum degree over its

@@ -42,14 +42,18 @@ AtomLayout LayoutOf(const Atom& atom, const IdSet& vars) {
   return layout;
 }
 
-// Shared filtering loop over any row source (row-major Relation or columnar
-// Table, abstracted as at(i, p)): emits the variable-projected row of every
-// tuple that satisfies the constant and repeated-variable constraints.
-template <typename GetAt, typename Emit>
-void ForEachSatisfyingRow(const Atom& atom, const AtomLayout& layout,
-                          std::size_t n, GetAt&& at, Emit&& emit) {
+// Emits the variable-projected row of every tuple of `stored` that
+// satisfies the atom's constant and repeated-variable constraints.
+template <typename Emit>
+void ForEachSatisfyingRow(const Atom& atom, const Table& stored,
+                          Emit&& emit) {
+  SHARPCQ_CHECK_MSG(stored.arity() == atom.arity(), atom.relation.c_str());
+  const AtomLayout layout = LayoutOf(atom, atom.Vars());
+  auto at = [&stored](std::size_t i, std::size_t p) {
+    return stored.at(i, static_cast<int>(p));
+  };
   std::vector<Value> row(layout.first_pos.size());
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < stored.rows(); ++i) {
     bool ok = true;
     for (std::size_t p = 0; p < atom.terms.size() && ok; ++p) {
       const Term& t = atom.terms[p];
@@ -70,96 +74,64 @@ void ForEachSatisfyingRow(const Atom& atom, const AtomLayout& layout,
   }
 }
 
-template <typename Emit>
-void EmitSatisfyingRows(const Atom& atom, const Database& db,
-                        const IdSet& vars, Emit&& emit) {
-  AtomLayout layout = LayoutOf(atom, vars);
-  if (std::shared_ptr<const Table> stored = db.ColumnarBacking(atom.relation);
-      stored != nullptr) {
-    SHARPCQ_CHECK_MSG(stored->arity() == atom.arity(),
-                      atom.relation.c_str());
-    ForEachSatisfyingRow(
-        atom, layout, stored->rows(),
-        [&stored](std::size_t i, std::size_t p) {
-          return stored->at(i, static_cast<int>(p));
-        },
-        emit);
-    return;
-  }
-  const Relation& rel = db.relation(atom.relation);
-  SHARPCQ_CHECK_MSG(rel.arity() == atom.arity(), atom.relation.c_str());
-  ForEachSatisfyingRow(
-      atom, layout, rel.size(),
-      [&rel](std::size_t i, std::size_t p) { return rel.Row(i)[p]; }, emit);
-}
-
-std::size_t StoredSize(const Atom& atom, const Database& db) {
-  if (auto stored = db.ColumnarBacking(atom.relation); stored != nullptr) {
-    return stored->rows();
-  }
-  return db.relation(atom.relation).size();
-}
-
 }  // namespace
 
 Rel AtomToRel(const Atom& atom, const Database& db) {
   IdSet vars = atom.Vars();
-  if (std::shared_ptr<const Table> stored = db.ColumnarBacking(atom.relation);
-      stored != nullptr) {
-    SHARPCQ_CHECK_MSG(stored->arity() == atom.arity(),
-                      atom.relation.c_str());
-    AtomLayout layout = LayoutOf(atom, vars);
-    if (layout.plain) {
-      bool identity = true;
-      for (std::size_t c = 0; c < layout.first_pos.size(); ++c) {
-        if (layout.first_pos[c] != static_cast<int>(c)) {
-          identity = false;
-          break;
-        }
+  std::shared_ptr<const Table> stored = db.table(atom.relation);
+  SHARPCQ_CHECK_MSG(stored->arity() == atom.arity(), atom.relation.c_str());
+  AtomLayout layout = LayoutOf(atom, vars);
+  if (layout.plain) {
+    bool identity = true;
+    for (std::size_t c = 0; c < layout.first_pos.size(); ++c) {
+      if (layout.first_pos[c] != static_cast<int>(c)) {
+        identity = false;
+        break;
       }
-      if (identity) {
-        // The variable order already matches the stored column order:
-        // share the stored table itself rather than an alias. The stored
-        // table outlives any single count, so indexes built while probing
-        // it stay cached across queries — on catalog-served snapshots this
-        // turns the per-count index build (the dominant cost of semijoins
-        // against large relations) into a one-time cost.
-        return Rel(std::move(vars), std::move(stored));
-      }
-      // Every tuple satisfies a plain atom and the projection onto vars is
-      // a column permutation, so alias the stored columns directly: the
-      // returned relation shares the snapshot's pages (zero copy), and the
-      // permutation of a row set is still a row set.
-      std::vector<std::span<const Value>> cols;
-      cols.reserve(vars.size());
-      for (int p : layout.first_pos) cols.push_back(stored->Column(p));
-      std::shared_ptr<const Table> aliased =
-          Table::FromExternal(std::move(cols), stored->rows(), stored);
-      // The alias is a column permutation, so the stored table's cached
-      // stats carry over verbatim (permuted) — the cost model sees base
-      // relation statistics without ever recomputing them per query.
-      if (std::shared_ptr<const TableStats> stats = stored->StatsIfPresent()) {
-        aliased->InstallStats(PermuteStats(*stats, layout.first_pos));
-      }
-      return Rel(std::move(vars), std::move(aliased));
     }
+    if (identity) {
+      // The variable order already matches the stored column order: share
+      // the stored table itself rather than an alias. The stored table
+      // outlives any single count, so indexes built while probing it stay
+      // cached across queries — this turns the per-count index build (the
+      // dominant cost of semijoins against large relations) into a
+      // one-time cost.
+      return Rel(std::move(vars), std::move(stored));
+    }
+    // Every tuple satisfies a plain atom and the projection onto vars is a
+    // column permutation, so alias the stored columns directly: the
+    // returned relation shares the stored table's memory (zero copy), and
+    // the permutation of a row set is still a row set.
+    std::vector<std::span<const Value>> cols;
+    cols.reserve(vars.size());
+    for (int p : layout.first_pos) cols.push_back(stored->Column(p));
+    std::shared_ptr<const Table> aliased =
+        Table::FromExternal(std::move(cols), stored->rows(), stored);
+    // The alias is a column permutation, so the stored table's cached stats
+    // carry over verbatim (permuted) — the cost model sees base relation
+    // statistics without ever recomputing them per query.
+    if (std::shared_ptr<const TableStats> stats = stored->StatsIfPresent()) {
+      aliased->InstallStats(PermuteStats(*stats, layout.first_pos));
+    }
+    return Rel(std::move(vars), std::move(aliased));
   }
   TableBuilder builder(static_cast<int>(vars.size()));
-  builder.ReserveRows(StoredSize(atom, db));
-  EmitSatisfyingRows(atom, db, vars, [&builder](std::span<const Value> row) {
+  builder.ReserveRows(stored->rows());
+  ForEachSatisfyingRow(atom, *stored, [&builder](std::span<const Value> row) {
     builder.AddRow(row);
   });
   return Rel(std::move(vars), std::move(builder).Build());
 }
 
-VarRelation AtomToVarRelation(const Atom& atom, const Database& db) {
-  IdSet vars = atom.Vars();
-  VarRelation out(vars);
-  EmitSatisfyingRows(atom, db, vars, [&out](std::span<const Value> row) {
-    out.rel().AddRow(row);
-  });
-  out.rel().Dedup();
-  return out;
+std::size_t AppendAtomRows(const Atom& atom, const Database& db,
+                           std::vector<Value>* out) {
+  std::size_t rows = 0;
+  ForEachSatisfyingRow(atom, *db.table(atom.relation),
+                       [out, &rows](std::span<const Value> row) {
+                         out->insert(out->end(), row.begin(), row.end());
+                         ++rows;
+                       });
+  return rows;
 }
 
 }  // namespace sharpcq

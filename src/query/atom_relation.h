@@ -3,7 +3,6 @@
 
 #include "algebra/rel.h"
 #include "data/database.h"
-#include "data/var_relation.h"
 #include "query/atom.h"
 
 namespace sharpcq {
@@ -13,12 +12,16 @@ namespace sharpcq {
 // equality, projected onto the variable positions. Deduplicated.
 //
 // This is the bridge from the positional world (Database) to the
-// variable-bound world used by every counting engine. AtomToRel produces a
-// kernel handle (algebra/rel.h) — the form all ported strategies consume;
-// AtomToVarRelation produces the legacy by-value representation and is kept
-// for the reference algebra and the differential tests.
+// variable-bound world used by every counting engine (algebra/rel.h).
 Rel AtomToRel(const Atom& atom, const Database& db);
-VarRelation AtomToVarRelation(const Atom& atom, const Database& db);
+
+// Appends the same substitutions to `out` as flat row-major values
+// (|Vars(atom)| per row, columns in ascending variable id) and returns how
+// many rows it appended. A plain scan of the stored table: no index, no
+// kernel operator, and no dedup. The backtracking oracle
+// (count/enumeration.h) reads atoms through this.
+std::size_t AppendAtomRows(const Atom& atom, const Database& db,
+                           std::vector<Value>* out);
 
 }  // namespace sharpcq
 

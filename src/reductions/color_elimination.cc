@@ -115,12 +115,11 @@ bool ReadColorDomains(const ConjunctiveQuery& q, const Database& b,
   for (VarId v : q.AllVars()) {
     std::string rel = ConjunctiveQuery::ColorRelationName(q.VarName(v));
     if (!b.HasRelation(rel)) return false;
-    const Relation& r = b.relation(rel);
+    const Table& r = *b.table(rel);
     SHARPCQ_CHECK(r.arity() == 1);
     std::vector<Value>& dom = (*domains)[v];
-    for (std::size_t i = 0; i < r.size(); ++i) dom.push_back(r.Row(i)[0]);
+    dom.assign(r.Column(0).begin(), r.Column(0).end());
     std::sort(dom.begin(), dom.end());
-    dom.erase(std::unique(dom.begin(), dom.end()), dom.end());
   }
   return true;
 }
@@ -191,7 +190,7 @@ std::optional<CountInt> CountFullColorViaOracle(const ConjunctiveQuery& q,
   // D_{j,T} builder: elements (X, b) for X outside T; j copies (X, b, k)
   // for X in T. Relations: all copy-combinations of the product tuples.
   auto build_djt = [&](const IdSet& t, std::size_t j) {
-    Database d;
+    DatabaseBuilder d;
     PairCoder coder;
     auto codes_of = [&](VarId var, Value value) {
       std::vector<Value> out;
@@ -208,10 +207,9 @@ std::optional<CountInt> CountFullColorViaOracle(const ConjunctiveQuery& q,
     };
 
     for (const Atom& a : q.atoms()) {
-      const Relation& rb = b.relation(a.relation);
+      const Table& rb = *b.table(a.relation);
       d.DeclareRelation(a.relation, a.arity());
-      for (std::size_t row = 0; row < rb.size(); ++row) {
-        auto tuple = rb.Row(row);
+      for (std::size_t row = 0; row < rb.rows(); ++row) {
         // Check (Xi, bi) in D, i.e. bi in dom(Xi); handle repeated
         // variables by the same per-position pairing as the lemma's
         // product structure.
@@ -220,8 +218,9 @@ std::optional<CountInt> CountFullColorViaOracle(const ConjunctiveQuery& q,
         for (std::size_t p = 0; p < a.terms.size() && ok; ++p) {
           VarId var = a.terms[p].var;
           const std::vector<Value>& dom = domains[var];
-          ok = std::binary_search(dom.begin(), dom.end(), tuple[p]);
-          if (ok) position_codes[p] = codes_of(var, tuple[p]);
+          const Value value = rb.at(row, static_cast<int>(p));
+          ok = std::binary_search(dom.begin(), dom.end(), value);
+          if (ok) position_codes[p] = codes_of(var, value);
         }
         if (!ok) continue;
         // Cross product of the per-position copy choices.
@@ -239,8 +238,7 @@ std::optional<CountInt> CountFullColorViaOracle(const ConjunctiveQuery& q,
         emit(emit, 0);
       }
     }
-    d.DedupAll();
-    return d;
+    return std::move(d).Build();
   };
 
   // For each T: interpolate N_{T,i} (i = 0..f) from |Q(D_{j,T})| at

@@ -467,8 +467,8 @@ Response Daemon::HandleCount(const Request& request, CancelToken* token) {
     Bump(&DaemonStats::resource_exhausted);
     response = ErrorResponse(
         wire::kResourceExhausted,
-        "memory budget exhausted (refused an allocation of " +
-            std::to_string(result.mem_refused_bytes) + " bytes)");
+        "memory budget exhausted (" +
+            RefusedAllocationText(result.mem_refused_bytes) + ")");
   } else {
     response = OkResponse();
     response.Add("count", CountToString(result.count));

@@ -170,13 +170,4 @@ bool EnforcePairwiseConsistency(std::vector<Rel>* views) {
   return true;
 }
 
-bool EnforcePairwiseConsistency(std::vector<VarRelation>* views) {
-  std::vector<Rel> kernel(views->begin(), views->end());
-  bool ok = EnforcePairwiseConsistency(&kernel);
-  for (std::size_t i = 0; i < views->size(); ++i) {
-    (*views)[i] = ToVarRelation(kernel[i]);
-  }
-  return ok;
-}
-
 }  // namespace sharpcq

@@ -40,6 +40,7 @@ CodedInstance CodeForHomomorphism(const ConjunctiveQuery& src,
   };
 
   CodedInstance out;
+  DatabaseBuilder db;
   out.query = src.KeepAtoms({});  // shell with src's name table and free set
   for (const Atom& a : src.atoms()) {
     std::vector<Term> terms;
@@ -49,7 +50,7 @@ CodedInstance CodeForHomomorphism(const ConjunctiveQuery& src,
     }
     out.query.AddAtom(a.relation, std::move(terms));
     // Declare all of src's relations so absent ones read as empty.
-    out.db.DeclareRelation(a.relation, a.arity());
+    db.DeclareRelation(a.relation, a.arity());
   }
   for (const Atom& a : target.atoms()) {
     std::vector<Value> row;
@@ -58,8 +59,9 @@ CodedInstance CodeForHomomorphism(const ConjunctiveQuery& src,
       row.push_back(t.is_var() ? static_cast<std::int64_t>(t.var)
                                : code_of(t.value));
     }
-    out.db.AddTuple(a.relation, std::span<const Value>(row));
+    db.AddTuple(a.relation, std::span<const Value>(row));
   }
+  out.db = std::move(db).Build();
   return out;
 }
 

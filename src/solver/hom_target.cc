@@ -33,12 +33,13 @@ std::optional<std::int64_t> QueryTarget::ConstCode(Value c) const {
 }
 
 DatabaseTarget::DatabaseTarget(const Database& db) {
-  for (const auto& [name, rel] : db.relations()) {
+  for (const std::string& name : db.SortedRelationNames()) {
+    const Table& table = *db.table(name);
     auto& tuples = relations_[name];
-    tuples.reserve(rel.size());
-    for (std::size_t i = 0; i < rel.size(); ++i) {
-      auto row = rel.Row(i);
-      tuples.emplace_back(row.begin(), row.end());
+    tuples.reserve(table.rows());
+    for (std::size_t i = 0; i < table.rows(); ++i) {
+      std::vector<std::int64_t>& tuple = tuples.emplace_back();
+      for (int c = 0; c < table.arity(); ++c) tuple.push_back(table.at(i, c));
     }
   }
 }

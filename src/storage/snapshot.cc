@@ -300,28 +300,18 @@ void SnapshotWriter::AddRow(const std::string& relation,
   ++pending.rows;
 }
 
-void SnapshotWriter::AddRelation(const std::string& name,
-                                 const Relation& rel) {
-  DeclareRelation(name, rel.arity());
-  for (std::size_t i = 0; i < rel.size(); ++i) AddRow(name, rel.Row(i));
-}
-
 void SnapshotWriter::AddDatabase(const Database& db) {
-  std::vector<Value> row;
   for (const std::string& name : db.SortedRelationNames()) {
-    std::shared_ptr<const Table> table = db.ColumnarBacking(name);
-    if (table == nullptr) {
-      AddRelation(name, db.relation(name));
-      continue;
+    const Table& table = *db.table(name);
+    DeclareRelation(name, table.arity());
+    Pending& pending = relations_[name];
+    for (int c = 0; c < table.arity(); ++c) {
+      std::span<const Value> col = table.Column(c);
+      pending.cols[static_cast<std::size_t>(c)].insert(
+          pending.cols[static_cast<std::size_t>(c)].end(), col.begin(),
+          col.end());
     }
-    DeclareRelation(name, table->arity());
-    row.resize(static_cast<std::size_t>(table->arity()));
-    for (std::size_t i = 0; i < table->rows(); ++i) {
-      for (int c = 0; c < table->arity(); ++c) {
-        row[static_cast<std::size_t>(c)] = table->at(i, c);
-      }
-      AddRow(name, row);
-    }
+    pending.rows += table.rows();
   }
 }
 
@@ -817,7 +807,7 @@ std::optional<LoadedSnapshot> LoadSnapshot(const std::string& path,
       std::shared_ptr<const Table> table = Table::FromExternal(
           std::move(cols), static_cast<std::size_t>(rel.rows), map);
       InstallPersistedStats(rel, *table);
-      loaded.db.AdoptColumnar(rel.name, std::move(table));
+      loaded.db.SetTable(rel.name, std::move(table));
       continue;
     }
     // Owned: verify each column checksum and copy into a TableBuilder. The
@@ -843,7 +833,7 @@ std::optional<LoadedSnapshot> LoadSnapshot(const std::string& path,
     std::shared_ptr<const Table> table =
         std::move(builder).Build(/*known_distinct=*/true);
     InstallPersistedStats(rel, *table);
-    loaded.db.AdoptColumnar(rel.name, std::move(table));
+    loaded.db.SetTable(rel.name, std::move(table));
   }
   loaded.info = std::move(*info);
   return loaded;

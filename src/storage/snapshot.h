@@ -11,7 +11,6 @@
 #include "algebra/stats.h"
 #include "data/csv.h"
 #include "data/database.h"
-#include "data/relation.h"
 #include "data/value.h"
 #include "util/status.h"
 
@@ -83,9 +82,7 @@ class SnapshotWriter {
   // Appends one row, declaring the relation on first use.
   void AddRow(const std::string& relation, std::span<const Value> row);
 
-  // Copies a whole relation / database (columnar backings are read
-  // directly, without materializing a row-major copy).
-  void AddRelation(const std::string& name, const Relation& rel);
+  // Appends every table of `db`, column by column.
   void AddDatabase(const Database& db);
 
   std::size_t relation_count() const { return relations_.size(); }
@@ -170,7 +167,7 @@ enum class SnapshotLoadMode {
 };
 
 struct LoadedSnapshot {
-  Database db;      // every relation columnar (Database::AdoptColumnar)
+  Database db;      // tables alias the file's pages when mapped
   ValueDict dict;   // empty if the snapshot carried no dictionary
   SnapshotInfo info;
   SnapshotLoadMode mode = SnapshotLoadMode::kOwned;

@@ -252,8 +252,8 @@ int RunCount(const Database& db, const ValueDict& dict,
     std::fprintf(stderr, "sharpcq: count aborted: %s",
                  CountStatusName(result.status));
     if (result.status == CountStatus::kResourceExhausted) {
-      std::fprintf(stderr, " (refused allocation of %llu bytes)",
-                   static_cast<unsigned long long>(result.mem_refused_bytes));
+      std::fprintf(stderr, " (%s)",
+                   RefusedAllocationText(result.mem_refused_bytes).c_str());
     }
     std::fprintf(stderr, "\n");
     return kExitRuntime;
@@ -363,7 +363,6 @@ int CmdBenchLoad(const std::string& snapshot_path, int iters,
           return CsvExitCode(result);
         }
       }
-      db.DedupAll();
       csv_ms += ElapsedMs(start);
     }
     std::printf("csv_ingest_ms:  %.3f\n", csv_ms / iters);

@@ -9,8 +9,8 @@
 
 namespace sharpcq {
 
-// 64-bit mix/combine helpers used by the hash indexes in data/ and the
-// memoization tables in decomp/. Based on the splitmix64 finalizer.
+// 64-bit mix/combine helpers used by hash tables across the library (IdSet
+// keys, the plan cache, PS13). Based on the splitmix64 finalizer.
 inline std::uint64_t HashMix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -1,8 +1,7 @@
-// The relational kernel (algebra/) against the legacy VarRelation algebra
-// (data/var_relation.h): a differential/property suite over random
+// The relational kernel (algebra/) against the by-value reference algebra
+// (tests/reference_algebra.h): a differential/property suite over random
 // instances, plus the copy-on-write and index-cache contracts the counting
-// strategies rely on, and the Relation membership-cache invalidation
-// regression.
+// strategies rely on.
 
 #include <gtest/gtest.h>
 
@@ -18,35 +17,33 @@
 #include "algebra/miss_filter.h"
 #include "algebra/rel.h"
 #include "algebra/simd.h"
-#include "data/relation.h"
-#include "data/var_relation.h"
 #include "solver/consistency.h"
+#include "tests/reference_algebra.h"
+#include "tests/test_util.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace sharpcq {
 namespace {
 
-VarRelation MakeVarRel(IdSet vars, std::vector<std::vector<Value>> rows) {
-  VarRelation r(std::move(vars));
-  for (const auto& row : rows) r.rel().AddRow(std::span<const Value>(row));
-  return r;
-}
+using reference::FromRel;
+using reference::MakeVarRelation;
+using reference::SameVarRelation;
+using reference::ToRel;
+using reference::VarRelation;
 
 // A random deduplicated VarRelation over `vars` with values in [0, domain).
 VarRelation RandomVarRel(std::mt19937_64* rng, IdSet vars, int domain,
                          int max_rows) {
-  VarRelation r(std::move(vars));
   std::uniform_int_distribution<int> rows_dist(0, max_rows);
   std::uniform_int_distribution<Value> value_dist(0, domain - 1);
   const int rows = rows_dist(*rng);
-  std::vector<Value> row(r.vars().size());
-  for (int i = 0; i < rows; ++i) {
+  std::vector<std::vector<Value>> data(static_cast<std::size_t>(rows),
+                                       std::vector<Value>(vars.size()));
+  for (auto& row : data) {
     for (Value& v : row) v = value_dist(*rng);
-    r.rel().AddRow(row);
   }
-  r.rel().Dedup();
-  return r;
+  return MakeVarRelation(std::move(vars), std::move(data));
 }
 
 // A random schema: a subset of the variable pool, at least `min_vars` wide.
@@ -63,13 +60,13 @@ IdSet RandomVars(std::mt19937_64* rng, std::uint32_t pool,
 }
 
 bool SameAsLegacy(const Rel& kernel, const VarRelation& legacy) {
-  return SameVarRelation(ToVarRelation(kernel), legacy);
+  return SameVarRelation(FromRel(kernel), legacy);
 }
 
 // Reference degree computation, independent of the kernel's group index.
 std::size_t LegacyDegree(const VarRelation& rel, const IdSet& free) {
   if (rel.empty()) return 0;
-  IdSet key_vars = Intersect(rel.vars(), free);
+  IdSet key_vars = Intersect(rel.vars, free);
   std::unordered_map<std::vector<Value>, std::size_t, VectorHash<Value>>
       multiplicity;
   std::vector<Value> key(key_vars.size());
@@ -89,7 +86,7 @@ bool LegacyEnforcePairwiseConsistency(std::vector<VarRelation>* views) {
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i != j && (*views)[i].vars().Intersects((*views)[j].vars())) {
+      if (i != j && (*views)[i].vars.Intersects((*views)[j].vars)) {
         pairs.emplace_back(i, j);
       }
     }
@@ -125,8 +122,8 @@ TEST(AlgebraKernelDifferentialTest, OpsAgreeWithLegacyOn250RandomInstances) {
     IdSet vars_b = RandomVars(&rng, pool, 1);
     VarRelation la = RandomVarRel(&rng, vars_a, domain, max_rows);
     VarRelation lb = RandomVarRel(&rng, vars_b, domain, max_rows);
-    Rel ka(la);
-    Rel kb(lb);
+    Rel ka = ToRel(la);
+    Rel kb = ToRel(lb);
 
     // Join.
     EXPECT_TRUE(SameAsLegacy(Join(ka, kb), Join(la, lb))) << "seed " << seed;
@@ -172,7 +169,7 @@ TEST(AlgebraKernelDifferentialTest, OpsAgreeWithLegacyOn250RandomInstances) {
         << "seed " << seed;
 
     // Set equality both ways.
-    EXPECT_TRUE(SameRel(ka, Rel(la))) << "seed " << seed;
+    EXPECT_TRUE(SameRel(ka, ToRel(la))) << "seed " << seed;
     EXPECT_EQ(SameRel(ka, kb), SameVarRelation(la, lb)) << "seed " << seed;
   }
 }
@@ -187,7 +184,7 @@ TEST(AlgebraKernelDifferentialTest, ConsistencyFixpointAgreesWithLegacy) {
     for (std::size_t i = 0; i < num_views; ++i) {
       VarRelation v = RandomVarRel(&rng, RandomVars(&rng, pool, 1),
                                    /*domain=*/3, /*max_rows=*/12);
-      kernel.push_back(v);
+      kernel.push_back(ToRel(v));
       legacy.push_back(std::move(v));
     }
     bool kernel_ok = EnforcePairwiseConsistency(&kernel);
@@ -211,17 +208,15 @@ TEST(AlgebraKernelDifferentialTest, ConsistencyFixpointAgreesWithLegacy) {
 VarRelation RandomStretchedVarRel(std::mt19937_64* rng, IdSet vars,
                                   int domain, int max_rows, Value base,
                                   Value stretch) {
-  VarRelation r(std::move(vars));
   std::uniform_int_distribution<int> rows_dist(0, max_rows);
   std::uniform_int_distribution<Value> value_dist(0, domain - 1);
   const int rows = rows_dist(*rng);
-  std::vector<Value> row(r.vars().size());
-  for (int i = 0; i < rows; ++i) {
+  std::vector<std::vector<Value>> data(static_cast<std::size_t>(rows),
+                                       std::vector<Value>(vars.size()));
+  for (auto& row : data) {
     for (Value& v : row) v = base + stretch * value_dist(*rng);
-    r.rel().AddRow(row);
   }
-  r.rel().Dedup();
-  return r;
+  return MakeVarRelation(std::move(vars), std::move(data));
 }
 
 // Restores full-width hash words even if a test fails mid-way.
@@ -237,8 +232,8 @@ struct NarrowHashedWords {
 void CheckOpsAgainstLegacy(std::mt19937_64* rng, const VarRelation& la,
                            const VarRelation& lb, int domain, Value base,
                            Value stretch, std::uint64_t seed) {
-  Rel ka(la);
-  Rel kb(lb);
+  Rel ka = ToRel(la);
+  Rel kb = ToRel(lb);
 
   EXPECT_TRUE(SameAsLegacy(Join(ka, kb), Join(la, lb))) << "seed " << seed;
 
@@ -252,7 +247,7 @@ void CheckOpsAgainstLegacy(std::mt19937_64* rng, const VarRelation& la,
       << "seed " << seed;
 
   IdSet onto;
-  for (std::uint32_t v : la.vars()) {
+  for (std::uint32_t v : la.vars) {
     if ((*rng)() % 2 == 0) onto.Insert(v);
   }
   EXPECT_TRUE(SameAsLegacy(Project(ka, onto), Project(la, onto)))
@@ -263,14 +258,14 @@ void CheckOpsAgainstLegacy(std::mt19937_64* rng, const VarRelation& la,
 
   // SelectEqual probes the single-column fast path; half the probes use a
   // value absent from the relation (poison/out-of-dictionary case).
-  std::uint32_t var = la.vars()[(*rng)() % la.vars().size()];
+  std::uint32_t var = la.vars[(*rng)() % la.vars.size()];
   Value value = base + stretch * static_cast<Value>((*rng)() % domain);
   if ((*rng)() % 2 == 0) value += 1;  // usually misses every stretched value
   EXPECT_TRUE(SameAsLegacy(SelectEqual(ka, var, value),
                            SelectEqual(la, var, value)))
       << "seed " << seed;
 
-  EXPECT_TRUE(SameRel(ka, Rel(la))) << "seed " << seed;
+  EXPECT_TRUE(SameRel(ka, ToRel(la))) << "seed " << seed;
   EXPECT_EQ(SameRel(ka, kb), SameVarRelation(la, lb)) << "seed " << seed;
 }
 
@@ -332,7 +327,7 @@ TEST(PackedKeyDifferentialTest, OpsAgreeWithLegacyOn240Instances) {
 
 TEST(PackedKeyTest, PackingModeSelectionAndPoisonProbes) {
   // Dense: two columns with tiny ranges bit-pack exactly.
-  Rel dense = MakeVarRel(IdSet{0, 1}, {{1, 10}, {2, 11}, {3, 12}, {1, 12}});
+  Rel dense = MakeRel(IdSet{0, 1}, {{1, 10}, {2, 11}, {3, 12}, {1, 12}});
   auto dense_index = dense.table()->IndexOn({0, 1});
   EXPECT_EQ(dense_index->packing().mode, KeyPacking::Mode::kDense);
   const Value hit[2] = {1, 12};
@@ -347,7 +342,7 @@ TEST(PackedKeyTest, PackingModeSelectionAndPoisonProbes) {
 
   // Hashed: a column spanning more than 62 bits of range.
   const Value wide = Value{1} << 62;
-  Rel hashed = MakeVarRel(IdSet{0, 1}, {{-wide, 0}, {wide, 1}, {0, 1}});
+  Rel hashed = MakeRel(IdSet{0, 1}, {{-wide, 0}, {wide, 1}, {0, 1}});
   auto hashed_index = hashed.table()->IndexOn({0, 1});
   EXPECT_EQ(hashed_index->packing().mode, KeyPacking::Mode::kHashed);
   const Value hkey[2] = {wide, 1};
@@ -381,7 +376,7 @@ TEST(PackedKeyTest, NarrowedHashWordsForceCollisionCheckedProbes) {
   for (Value u = 0; u < 40; ++u) {
     rows.push_back({u * stretch - (Value{1} << 60), (u % 7) * stretch});
   }
-  Rel r = MakeVarRel(IdSet{0, 1}, rows);
+  Rel r = MakeRel(IdSet{0, 1}, rows);
   auto index = r.table()->IndexOn({0, 1});
   ASSERT_EQ(index->packing().mode, KeyPacking::Mode::kHashed);
   EXPECT_EQ(index->num_groups(), 40u);  // collisions never merge groups
@@ -410,12 +405,10 @@ TEST(PackedKeyTest, MorselParallelSemijoinMatchesSequentialOnLargeInputs) {
     b_rows.push_back({static_cast<Value>(rng() % 40),
                       static_cast<Value>(rng() % 40)});
   }
-  VarRelation la = MakeVarRel(IdSet{0, 1, 2}, a_rows);
-  la.rel().Dedup();
-  VarRelation lb = MakeVarRel(IdSet{1, 2}, b_rows);
-  lb.rel().Dedup();
-  Rel ka(la);
-  Rel kb(lb);
+  VarRelation la = MakeVarRelation(IdSet{0, 1, 2}, a_rows);
+  VarRelation lb = MakeVarRelation(IdSet{1, 2}, b_rows);
+  Rel ka = ToRel(la);
+  Rel kb = ToRel(lb);
   Rel seq_semi = Semijoin(ka, kb);
   Rel seq_join = Join(ka, kb);
 
@@ -557,7 +550,7 @@ TEST(MissFilterTest, OneSidedAndFalsePositivesResolveToMiss) {
     for (std::size_t u = 0; u < keys; ++u) {
       rows.push_back({static_cast<Value>(u * 3)});
     }
-    Rel r = MakeVarRel(IdSet{0}, rows);
+    Rel r = MakeRel(IdSet{0}, rows);
     auto index = r.table()->IndexOn({0});
     ASSERT_EQ(index->num_groups(), keys);
     EXPECT_EQ(index->miss_filter().kind(),
@@ -598,8 +591,8 @@ TEST(MissFilterTest, CountersTallyHitsAndPassesAndDisableScopeStopsThem) {
   std::vector<std::vector<Value>> probe_rows;
   for (Value u = 0; u < 512; ++u) probe_rows.push_back({u + 100000, u});
   probe_rows.push_back({5, 5});  // one present key
-  Rel build = MakeVarRel(IdSet{0, 1}, build_rows);
-  Rel probe = MakeVarRel(IdSet{0, 1}, probe_rows);
+  Rel build = MakeRel(IdSet{0, 1}, build_rows);
+  Rel probe = MakeRel(IdSet{0, 1}, probe_rows);
 
   const ProbeFilterStats before = GlobalProbeFilterStats();
   Rel kept = Semijoin(probe, build);
@@ -666,7 +659,8 @@ TEST(WorklistConsistencyTest, MatchesLegacyFixpointOnChainsAndTriangles) {
         legacy.push_back(RandomVarRel(&rng, IdSet{i, i + 1}, 3, 14));
       }
     }
-    std::vector<Rel> kernel(legacy.begin(), legacy.end());
+    std::vector<Rel> kernel;
+    for (const VarRelation& v : legacy) kernel.push_back(ToRel(v));
     bool kernel_ok = EnforcePairwiseConsistency(&kernel);
     bool legacy_ok = LegacyEnforcePairwiseConsistency(&legacy);
     EXPECT_EQ(kernel_ok, legacy_ok) << "seed " << seed;
@@ -682,25 +676,24 @@ TEST(WorklistConsistencyTest, MatchesLegacyFixpointOnChainsAndTriangles) {
 // --- copy-on-write and sharing contracts --------------------------------------
 
 TEST(AlgebraKernelTest, ConversionDedupsAndUnitHasOneEmptyRow) {
-  VarRelation dup = MakeVarRel(IdSet{0}, {{1}, {1}, {2}});
-  Rel r(dup);
+  Rel r = MakeRel(IdSet{0}, {{1}, {1}, {2}});
   EXPECT_EQ(r.size(), 2u);
   Rel unit = Rel::Unit();
   EXPECT_EQ(unit.size(), 1u);
   EXPECT_TRUE(unit.vars().empty());
   // Unit is the Join identity.
-  Rel a = MakeVarRel(IdSet{0, 1}, {{1, 10}, {2, 20}});
+  Rel a = MakeRel(IdSet{0, 1}, {{1, 10}, {2, 20}});
   EXPECT_TRUE(SameRel(Join(a, unit), a));
 }
 
 TEST(AlgebraKernelTest, CopiesAndNoOpSemijoinShareTheTable) {
-  Rel a = MakeVarRel(IdSet{0, 1}, {{1, 10}, {2, 20}, {3, 30}});
+  Rel a = MakeRel(IdSet{0, 1}, {{1, 10}, {2, 20}, {3, 30}});
   Rel copy = a;
   EXPECT_EQ(copy.table().get(), a.table().get());
 
   // b matches every row of a: the semijoin removes nothing and must return
   // a handle to a's table itself, preserving cached indexes.
-  Rel b = MakeVarRel(IdSet{1, 2}, {{10, 5}, {20, 5}, {30, 6}});
+  Rel b = MakeRel(IdSet{1, 2}, {{10, 5}, {20, 5}, {30, 6}});
   bool changed = true;
   Rel kept = Semijoin(a, b, &changed);
   EXPECT_FALSE(changed);
@@ -710,7 +703,7 @@ TEST(AlgebraKernelTest, CopiesAndNoOpSemijoinShareTheTable) {
   EXPECT_EQ(Project(a, a.vars()).table().get(), a.table().get());
 
   // A removing semijoin materializes a fresh table.
-  Rel c = MakeVarRel(IdSet{1}, {{10}});
+  Rel c = MakeRel(IdSet{1}, {{10}});
   Rel reduced = Semijoin(a, c, &changed);
   EXPECT_TRUE(changed);
   EXPECT_NE(reduced.table().get(), a.table().get());
@@ -718,7 +711,7 @@ TEST(AlgebraKernelTest, CopiesAndNoOpSemijoinShareTheTable) {
 }
 
 TEST(AlgebraKernelTest, IndexCacheIsReusedPerKeyColumnSet) {
-  Rel b = MakeVarRel(IdSet{0, 1}, {{1, 10}, {2, 20}, {3, 30}});
+  Rel b = MakeRel(IdSet{0, 1}, {{1, 10}, {2, 20}, {3, 30}});
   EXPECT_EQ(b.table()->CachedIndexCount(), 0u);
   auto first = b.table()->IndexOn({0});
   EXPECT_EQ(b.table()->CachedIndexCount(), 1u);
@@ -730,7 +723,7 @@ TEST(AlgebraKernelTest, IndexCacheIsReusedPerKeyColumnSet) {
 
   // Repeated semijoins against the same right-hand side hit the cache: the
   // index over the shared columns is built once.
-  Rel a = MakeVarRel(IdSet{0}, {{1}, {2}});
+  Rel a = MakeRel(IdSet{0}, {{1}, {2}});
   std::size_t before = b.table()->CachedIndexCount();
   Semijoin(a, b);
   std::size_t after_one = b.table()->CachedIndexCount();
@@ -741,7 +734,7 @@ TEST(AlgebraKernelTest, IndexCacheIsReusedPerKeyColumnSet) {
 }
 
 TEST(AlgebraKernelTest, GroupIndexExposesCountedGroups) {
-  Rel r = MakeVarRel(IdSet{0, 1}, {{1, 10}, {1, 11}, {2, 20}});
+  Rel r = MakeRel(IdSet{0, 1}, {{1, 10}, {1, 11}, {2, 20}});
   CountedProjection counted = ProjectCounted(r, IdSet{0});
   ASSERT_EQ(counted.keys.size(), 2u);
   ASSERT_EQ(counted.counts.size(), 2u);
@@ -753,40 +746,6 @@ TEST(AlgebraKernelTest, GroupIndexExposesCountedGroups) {
   EXPECT_EQ(MaxGroupSize(r, IdSet{0, 1}), 1u);
   // Empty key set: one group holding every row.
   EXPECT_EQ(MaxGroupSize(r, IdSet{}), 3u);
-}
-
-// --- Relation membership-cache invalidation ----------------------------------
-
-TEST(RelationMembershipCacheTest, InvalidatedByMutation) {
-  Relation r(2);
-  r.AddRow({1, 2});
-  r.AddRow({3, 4});
-  EXPECT_FALSE(r.HasCachedMembershipIndex());
-
-  // First membership check builds and caches the index.
-  EXPECT_TRUE(r.ContainsRow(std::vector<Value>{1, 2}));
-  EXPECT_TRUE(r.HasCachedMembershipIndex());
-  EXPECT_FALSE(r.ContainsRow(std::vector<Value>{9, 9}));
-
-  // Mutation drops the cache; the next check must see the new row.
-  r.AddRow({9, 9});
-  EXPECT_FALSE(r.HasCachedMembershipIndex());
-  EXPECT_TRUE(r.ContainsRow(std::vector<Value>{9, 9}));
-  EXPECT_TRUE(r.ContainsRow(std::vector<Value>{1, 2}));
-
-  // Dedup (which sorts) also invalidates; results stay correct.
-  r.AddRow({1, 2});
-  r.Dedup();
-  EXPECT_EQ(r.size(), 3u);
-  EXPECT_TRUE(r.ContainsRow(std::vector<Value>{1, 2}));
-  EXPECT_TRUE(r.ContainsRow(std::vector<Value>{9, 9}));
-  EXPECT_FALSE(r.ContainsRow(std::vector<Value>{2, 1}));
-
-  // Copies do not inherit the cache but answer correctly.
-  EXPECT_TRUE(r.ContainsRow(std::vector<Value>{3, 4}));
-  Relation copy = r;
-  EXPECT_FALSE(copy.HasCachedMembershipIndex());
-  EXPECT_TRUE(copy.ContainsRow(std::vector<Value>{3, 4}));
 }
 
 }  // namespace

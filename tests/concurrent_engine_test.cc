@@ -62,14 +62,14 @@ Workload MakeWorkload() {
   {
     ConjunctiveQuery a = Parse("Q(X,Z) <- r(X,Y), s(Y,Z)");
     ConjunctiveQuery b = Parse("Q(A,C) <- s(B,C), r(A,B)");
-    Database db;
+    DatabaseBuilder db;
     for (Value i = 0; i < 5; ++i) {
       for (Value j = 0; j < 5; ++j) {
         if ((i + j) % 2 == 0) db.AddTuple("r", {i, j});
         if ((i * j) % 3 == 0) db.AddTuple("s", {i, j});
       }
     }
-    add_shape({std::move(a), std::move(b)}, std::move(db));
+    add_shape({std::move(a), std::move(b)}, std::move(db).Build());
   }
 
   // Shape 3: the acyclic unbounded-width family (PS13 plan).

@@ -31,6 +31,7 @@
 #include "gen/random_gen.h"
 #include "query/parser.h"
 #include "storage/snapshot.h"
+#include "tests/test_util.h"
 #include "util/trace.h"
 
 namespace sharpcq {
@@ -137,14 +138,16 @@ TEST(CostModelUnitTest, EstimatedDistinctCountUsesStatsAndCaps) {
 // --- fingerprints ----------------------------------------------------------
 
 TEST(CostModelUnitTest, FingerprintIsRowOrderInsensitive) {
-  Database forward;
-  Database shuffled;
-  forward.AddTuple("r", {1, 2});
-  forward.AddTuple("r", {3, 4});
-  forward.AddTuple("s", {7});
-  shuffled.AddTuple("s", {7});
-  shuffled.AddTuple("r", {3, 4});
-  shuffled.AddTuple("r", {1, 2});
+  DatabaseBuilder forward_builder;
+  DatabaseBuilder shuffled_builder;
+  forward_builder.AddTuple("r", {1, 2});
+  forward_builder.AddTuple("r", {3, 4});
+  forward_builder.AddTuple("s", {7});
+  shuffled_builder.AddTuple("s", {7});
+  shuffled_builder.AddTuple("r", {3, 4});
+  shuffled_builder.AddTuple("r", {1, 2});
+  const Database forward = std::move(forward_builder).Build();
+  const Database shuffled = std::move(shuffled_builder).Build();
 
   const std::string dir = MakeScratchDir();
   Status error;
@@ -166,8 +169,9 @@ TEST(CostModelUnitTest, FingerprintTracksSizeClassNotExactCounts) {
   // Within one log2 class the fingerprint is stable; crossing a class
   // boundary (2 rows -> 4 rows) moves it.
   auto profile_of = [](int rows) {
-    Database db;
-    for (int i = 0; i < rows; ++i) db.AddTuple("e", {i, i + 100});
+    DatabaseBuilder builder;
+    for (int i = 0; i < rows; ++i) builder.AddTuple("e", {i, i + 100});
+    const Database db = std::move(builder).Build();
     const std::string dir = MakeScratchDir();
     Status error;
     EXPECT_TRUE(
@@ -185,10 +189,11 @@ TEST(CostModelUnitTest, FingerprintTracksSizeClassNotExactCounts) {
 // --- persisted stats == computed stats -------------------------------------
 
 TEST(CostModelUnitTest, SnapshotPersistedStatsEqualLazyComputation) {
-  Database db;
+  DatabaseBuilder builder;
   for (int i = 0; i < 50; ++i) {
-    db.AddTuple("skew", {i % 5, i});  // col 0 heavy, col 1 unique
+    builder.AddTuple("skew", {i % 5, i});  // col 0 heavy, col 1 unique
   }
+  const Database db = std::move(builder).Build();
   const std::string dir = MakeScratchDir();
   const std::string path = dir + "/stats.sharpcq";
   Status error;
@@ -198,8 +203,7 @@ TEST(CostModelUnitTest, SnapshotPersistedStatsEqualLazyComputation) {
        {SnapshotLoadMode::kOwned, SnapshotLoadMode::kMapped}) {
     auto loaded = LoadSnapshot(path, mode, &error);
     ASSERT_TRUE(loaded.has_value()) << error;
-    auto backing = loaded->db.ColumnarBacking("skew");
-    ASSERT_NE(backing, nullptr);
+    const std::shared_ptr<const Table>& backing = loaded->db.table("skew");
     // v2 loads install the persisted stats without a computation pass...
     auto persisted = backing->StatsIfPresent();
     ASSERT_NE(persisted, nullptr);
@@ -217,8 +221,9 @@ TEST(CostModelCacheTest, ProfileClassChangeReplansSameClassStaysWarm) {
   const std::string dir = MakeScratchDir();
   Status error;
   auto snapshot_db = [&](const std::string& name, int rows) {
-    Database db;
-    for (int i = 0; i < rows; ++i) db.AddTuple("e", {i, i + 1});
+    DatabaseBuilder builder;
+    for (int i = 0; i < rows; ++i) builder.AddTuple("e", {i, i + 1});
+    const Database db = std::move(builder).Build();
     const std::string path = dir + "/" + name + ".sharpcq";
     EXPECT_TRUE(WriteSnapshot(db, nullptr, path, &error).has_value()) << error;
     auto loaded = LoadSnapshot(path, SnapshotLoadMode::kMapped, &error);
@@ -282,13 +287,15 @@ std::vector<DiffCase> MakeDiffCases(std::uint64_t first_seed,
       // Heavy-tail the data: pile extra tuples onto one hot value per
       // relation so per-column max_group dwarfs the average (the regime the
       // degree-steer threshold and worklist priority react to).
+      DatabaseBuilder builder = BuilderFrom(c.db);
       for (const Atom& atom : c.query.atoms()) {
         for (int i = 0; i < 12; ++i) {
           std::vector<Value> row(static_cast<std::size_t>(atom.arity()), 0);
           row.back() = i % 6;
-          c.db.AddTuple(atom.relation, row);
+          builder.AddTuple(atom.relation, row);
         }
       }
+      c.db = std::move(builder).Build();
     }
     c.seed = seed;
     cases.push_back(std::move(c));
@@ -385,7 +392,7 @@ std::uint64_t NextRandom(std::uint64_t* state) {
 }
 
 // `rows` distinct pairs drawn uniformly from [0,domain) x [0,domain).
-void AddRandomPairs(Database* db, const std::string& name, int rows,
+void AddRandomPairs(DatabaseBuilder* db, const std::string& name, int rows,
                     int domain, std::uint64_t* state) {
   std::set<std::pair<Value, Value>> seen;
   while (static_cast<int>(seen.size()) < rows) {
@@ -424,28 +431,28 @@ constexpr const char* kSkewedStar =
 // The 4-chain: each relation `rows` pairs over a `domain`-value domain.
 Database ChainDatabase(int rows, int domain) {
   std::uint64_t state = 1;
-  Database db;
+  DatabaseBuilder db;
   for (const char* name : {"ca", "cb", "cc", "cd"}) {
     AddRandomPairs(&db, name, rows, domain, &state);
   }
-  return ViaSnapshot(db);
+  return ViaSnapshot(std::move(db).Build());
 }
 
 // serve_hot's relations: s1..s4, 3000 pairs over 1500 values.
 Database ServeDatabase() {
   std::uint64_t state = 2;
-  Database db;
+  DatabaseBuilder db;
   for (const char* name : {"s1", "s2", "s3", "s4"}) {
     AddRandomPairs(&db, name, 3000, 1500, &state);
   }
-  return ViaSnapshot(db);
+  return ViaSnapshot(std::move(db).Build());
 }
 
 // bench_cost_model's skewed star at a quarter of its size: a center with two
 // rows per X, three leaves covering every X, and a 10-row filter.
 Database SkewedStarDatabase() {
   constexpr int kDomain = 25000;
-  Database db;
+  DatabaseBuilder db;
   for (int i = 0; i < 2 * kDomain; ++i) db.AddTuple("center", {i % kDomain, i});
   for (int x = 0; x < kDomain; ++x) {
     db.AddTuple("la", {x});
@@ -453,7 +460,7 @@ Database SkewedStarDatabase() {
     db.AddTuple("lc", {x});
   }
   for (int s = 0; s < 10; ++s) db.AddTuple("sel", {s * (kDomain / 10)});
-  return ViaSnapshot(db);
+  return ViaSnapshot(std::move(db).Build());
 }
 
 TEST(StrategyChoiceTest, CrossProductChainRunsPs13) {
@@ -651,9 +658,11 @@ ChoiceCase MakeChoiceCase(std::uint64_t seed) {
   }
   ChoiceCase c;
   c.query = ParseOrDie(text);
+  DatabaseBuilder builder;
   for (const std::string& name : relations) {
-    AddRandomPairs(&c.db, name, rows, domain, &state);
+    AddRandomPairs(&builder, name, rows, domain, &state);
   }
+  c.db = std::move(builder).Build();
   return c;
 }
 
@@ -666,8 +675,8 @@ TEST(StrategyChoiceDifferentialTest, AutoAgreesWithEveryForcedStrategy) {
   int auto_sharp = 0;
   for (std::uint64_t seed = 1; seed <= 240; ++seed) {
     ChoiceCase c = MakeChoiceCase(seed);
-    // Half the instances carry persisted column stats, half only row
-    // counts (row-major relations).
+    // Half the instances carry persisted column stats, half are built in
+    // memory (stats computed on first profile).
     const Database db = seed % 2 == 0 ? ViaSnapshot(c.db) : std::move(c.db);
     const CountResult chosen = engine.Count(c.query, db);
     ASSERT_TRUE(chosen.ok()) << "seed " << seed;
@@ -703,15 +712,15 @@ constexpr const char* kQ0 =
 // The 4-cycle's relations: 600 pairs over 40 values each.
 Database Cycle4Database() {
   std::uint64_t state = 4;
-  Database db;
+  DatabaseBuilder db;
   for (const char* name : {"y1", "y2", "y3", "y4"}) {
     AddRandomPairs(&db, name, 600, 40, &state);
   }
-  return ViaSnapshot(db);
+  return ViaSnapshot(std::move(db).Build());
 }
 
 // `rows` distinct pairs over [base1, base1+n1) x [base2, base2+n2).
-void AddShiftedPairs(Database* db, const std::string& name, int rows,
+void AddShiftedPairs(DatabaseBuilder* db, const std::string& name, int rows,
                      Value base1, int n1, Value base2, int n2,
                      std::uint64_t* state) {
   std::set<std::pair<Value, Value>> seen;
@@ -731,7 +740,7 @@ Database Q0Database() {
   constexpr Value kM = 1000000, kW = 2000000, kT = 3000000, kP = 4000000,
                   kS = 5000000, kR = 6000000, kI = 7000000;
   std::uint64_t state = 5;
-  Database db;
+  DatabaseBuilder db;
   std::set<std::pair<Value, Value>> seen;
   while (seen.size() < 200) {
     const Value m = kM + static_cast<Value>(NextRandom(&state) % kMachines);
@@ -752,7 +761,7 @@ Database Q0Database() {
     const Value r = kR + static_cast<Value>(NextRandom(&state) % kResources);
     if (rr.emplace(task, r).second) db.AddTuple("rr", {task, r});
   }
-  return ViaSnapshot(db);
+  return ViaSnapshot(std::move(db).Build());
 }
 
 // True when the guard's atoms are connected through shared variables, i.e.
@@ -915,6 +924,7 @@ CyclicCase MakeCyclicCase(std::uint64_t seed) {
   for (const std::string& a : atoms) body += (body.empty() ? "" : ", ") + a;
   CyclicCase c;
   c.query = ParseOrDie("Q(" + head + ") <- " + body);
+  DatabaseBuilder builder;
   std::set<std::string> declared;
   for (const Atom& atom : c.query.atoms()) {
     if (!declared.insert(atom.relation).second) continue;
@@ -923,14 +933,15 @@ CyclicCase MakeCyclicCase(std::uint64_t seed) {
     while (static_cast<int>(seen.size()) < rows) {
       std::vector<Value> row(arity);
       for (Value& v : row) v = static_cast<Value>(NextRandom(&state) % domain);
-      if (seen.insert(row).second) c.db.AddTuple(atom.relation, row);
+      if (seen.insert(row).second) builder.AddTuple(atom.relation, row);
     }
     for (int i = 0; skewed && i < rows / 2; ++i) {
       std::vector<Value> row(arity, 0);
       row.back() = static_cast<Value>(i % domain);
-      if (seen.insert(row).second) c.db.AddTuple(atom.relation, row);
+      if (seen.insert(row).second) builder.AddTuple(atom.relation, row);
     }
   }
+  c.db = std::move(builder).Build();
   return c;
 }
 
@@ -944,8 +955,8 @@ TEST(DecompositionChoiceDifferentialTest, CostGuidedAgreesWithFewestBags) {
   int changed = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     CyclicCase c = MakeCyclicCase(seed);
-    // Half the instances carry persisted column stats, half only row
-    // counts (row-major relations).
+    // Half the instances carry persisted column stats, half are built in
+    // memory (stats computed on first profile).
     const Database db = seed % 2 == 0 ? ViaSnapshot(c.db) : std::move(c.db);
     const CountResult chosen = guided.Count(c.query, db);
     ASSERT_TRUE(chosen.ok()) << "seed " << seed;
@@ -1007,11 +1018,12 @@ TEST(CostModelConcurrencyTest, ConcurrentCountsWithCostModelOn) {
   // Batch counting over a snapshot-backed database with the cost model on:
   // concurrent jobs consult shared stats, reorder join trees, and run the
   // priority worklist under TSan.
-  Database source;
+  DatabaseBuilder builder;
   for (int i = 0; i < 200; ++i) {
-    source.AddTuple("e", {i % 20, (i * 3) % 40});
-    source.AddTuple("f", {(i * 5) % 40, i % 10});
+    builder.AddTuple("e", {i % 20, (i * 3) % 40});
+    builder.AddTuple("f", {(i * 5) % 40, i % 10});
   }
+  const Database source = std::move(builder).Build();
   const std::string dir = MakeScratchDir();
   const std::string path = dir + "/batch.sharpcq";
   Status error;

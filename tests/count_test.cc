@@ -11,20 +11,14 @@
 namespace sharpcq {
 namespace {
 
-VarRelation MakeVarRel(IdSet vars, std::vector<std::vector<Value>> rows) {
-  VarRelation r(std::move(vars));
-  for (const auto& row : rows) r.rel().AddRow(std::span<const Value>(row));
-  return r;
-}
-
 // A two-node chain instance: {X,Y} - {Y,Z}.
 JoinTreeInstance ChainInstance() {
   JoinTreeInstance instance;
   instance.shape = TreeShape::FromParents({-1, 0});
   instance.nodes.push_back(
-      MakeVarRel(IdSet{0, 1}, {{1, 10}, {2, 20}, {3, 30}}));
+      MakeRel(IdSet{0, 1}, {{1, 10}, {2, 20}, {3, 30}}));
   instance.nodes.push_back(
-      MakeVarRel(IdSet{1, 2}, {{10, 100}, {10, 101}, {20, 200}, {99, 999}}));
+      MakeRel(IdSet{1, 2}, {{10, 100}, {10, 101}, {20, 200}, {99, 999}}));
   return instance;
 }
 
@@ -39,8 +33,8 @@ TEST(FullReduceTest, RemovesDanglingTuples) {
 TEST(FullReduceTest, DetectsEmptyJoin) {
   JoinTreeInstance instance;
   instance.shape = TreeShape::FromParents({-1, 0});
-  instance.nodes.push_back(MakeVarRel(IdSet{0}, {{1}}));
-  instance.nodes.push_back(MakeVarRel(IdSet{0}, {{2}}));
+  instance.nodes.push_back(MakeRel(IdSet{0}, {{1}}));
+  instance.nodes.push_back(MakeRel(IdSet{0}, {{2}}));
   EXPECT_FALSE(FullReduce(&instance));
 }
 
@@ -58,8 +52,8 @@ TEST(CountFullJoinTest, ZeroAritySolutionsMultiply) {
   // Two independent bags: 2 x 3 = 6 full solutions.
   JoinTreeInstance instance;
   instance.shape = TreeShape::FromParents({-1, 0});
-  instance.nodes.push_back(MakeVarRel(IdSet{0}, {{1}, {2}}));
-  instance.nodes.push_back(MakeVarRel(IdSet{1}, {{5}, {6}, {7}}));
+  instance.nodes.push_back(MakeRel(IdSet{0}, {{1}, {2}}));
+  instance.nodes.push_back(MakeRel(IdSet{1}, {{5}, {6}, {7}}));
   EXPECT_EQ(CountFullJoin(instance), CountInt{6});
 }
 
@@ -77,7 +71,7 @@ TEST(Ps13Test, SingleNodeCountsDistinctFreeProjections) {
   JoinTreeInstance instance;
   instance.shape = TreeShape::FromParents({-1});
   instance.nodes.push_back(
-      MakeVarRel(IdSet{0, 1}, {{1, 10}, {1, 20}, {2, 10}}));
+      MakeRel(IdSet{0, 1}, {{1, 10}, {1, 20}, {2, 10}}));
   EXPECT_EQ(Ps13Count(instance, IdSet{0}), CountInt{2});
   EXPECT_EQ(Ps13Count(instance, IdSet{0, 1}), CountInt{3});
   EXPECT_EQ(Ps13Count(instance, IdSet{}), CountInt{1});
@@ -86,7 +80,7 @@ TEST(Ps13Test, SingleNodeCountsDistinctFreeProjections) {
 TEST(Ps13Test, EmptyRelationCountsZero) {
   JoinTreeInstance instance;
   instance.shape = TreeShape::FromParents({-1});
-  instance.nodes.push_back(VarRelation(IdSet{0}));
+  instance.nodes.push_back(Rel(IdSet{0}));
   EXPECT_EQ(Ps13Count(instance, IdSet{0}), CountInt{0});
 }
 
@@ -114,7 +108,7 @@ TEST(Ps13Test, StatsReflectDegreeBlowup) {
   JoinTreeInstance instance;
   instance.shape = TreeShape::FromParents({-1});
   instance.nodes.push_back(
-      MakeVarRel(IdSet{0, 1}, {{1, 10}, {1, 11}, {1, 12}, {1, 13}}));
+      MakeRel(IdSet{0, 1}, {{1, 10}, {1, 11}, {1, 12}, {1, 13}}));
   Ps13Stats stats;
   EXPECT_EQ(Ps13Count(instance, IdSet{0}, &stats), CountInt{1});
   EXPECT_EQ(stats.max_sets, 1u);
@@ -154,12 +148,13 @@ TEST(EnumerationTest, JoinProjectOnQ1) {
 
 TEST(EnumerationTest, BooleanQueryCountsZeroOrOne) {
   ConjunctiveQuery q = MakeQn2(2);
-  Database db;
-  db.AddTuple("r", {1, 2});
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {1, 2});
+  const Database db = std::move(builder).Build();
   EXPECT_EQ(CountByJoinProject(q, db), CountInt{1});
   EXPECT_EQ(CountByBacktracking(q, db), CountInt{1});
   Database empty;
-  empty.DeclareRelation("r", 2);
+  empty.SetTable("r", Table::Empty(2));
   EXPECT_EQ(CountByJoinProject(q, empty), CountInt{0});
   EXPECT_EQ(CountByBacktracking(q, empty), CountInt{0});
 }

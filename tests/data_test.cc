@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "data/csv.h"
 #include "data/database.h"
-#include "data/relation.h"
 #include "data/value.h"
-#include "data/var_relation.h"
+#include "engine/engine.h"
+#include "query/atom_relation.h"
+#include "query/parser.h"
 
 namespace sharpcq {
 namespace {
@@ -39,162 +45,114 @@ TEST(ValueDictTest, HeterogeneousLookupAvoidsCopies) {
   EXPECT_EQ(dict.NameOf(b), "bob");
 }
 
-TEST(RelationTest, AddAndRead) {
-  Relation r(2);
-  r.AddRow({1, 2});
-  r.AddRow({3, 4});
-  ASSERT_EQ(r.size(), 2u);
-  EXPECT_EQ(r.Row(0)[0], 1);
-  EXPECT_EQ(r.Row(1)[1], 4);
-}
+// --- one physical form: every relation is a deduplicated Table -------------
 
-TEST(RelationTest, DedupRemovesDuplicates) {
-  Relation r(2);
-  r.AddRow({1, 2});
-  r.AddRow({1, 2});
-  r.AddRow({0, 9});
-  r.Dedup();
-  EXPECT_EQ(r.size(), 2u);
-  EXPECT_TRUE(r.ContainsRow(std::vector<Value>{1, 2}));
-  EXPECT_TRUE(r.ContainsRow(std::vector<Value>{0, 9}));
-}
+constexpr const char* kStrategies[] = {"auto", "backtracking", "sharp",
+                                       "ps13", "hybrid"};
 
-TEST(RelationTest, ZeroArityMultiplicity) {
-  Relation r(0);
-  EXPECT_TRUE(r.empty());
-  r.AddRow(std::span<const Value>{});
-  r.AddRow(std::span<const Value>{});
-  EXPECT_EQ(r.size(), 2u);
-  r.Dedup();
-  EXPECT_EQ(r.size(), 1u);
-}
-
-TEST(RelationTest, SameRowSetIgnoresOrderAndDuplicates) {
-  Relation a(1), b(1);
-  a.AddRow({1});
-  a.AddRow({2});
-  b.AddRow({2});
-  b.AddRow({1});
-  b.AddRow({1});
-  EXPECT_TRUE(SameRowSet(a, b));
-  b.AddRow({3});
-  EXPECT_FALSE(SameRowSet(a, b));
-}
-
-TEST(RowIndexTest, LookupByKeyColumns) {
-  Relation r(3);
-  r.AddRow({1, 10, 100});
-  r.AddRow({1, 20, 200});
-  r.AddRow({2, 10, 300});
-  RowIndex index(r, {0});
-  std::vector<Value> key{1};
-  const auto* rows = index.Lookup(key);
-  ASSERT_NE(rows, nullptr);
-  EXPECT_EQ(rows->size(), 2u);
-  key[0] = 7;
-  EXPECT_EQ(index.Lookup(key), nullptr);
-}
-
-TEST(RowIndexTest, EmptyKeyMatchesAllRows) {
-  Relation r(2);
-  r.AddRow({1, 2});
-  r.AddRow({3, 4});
-  RowIndex index(r, {});
-  const auto* rows = index.Lookup(std::span<const Value>{});
-  ASSERT_NE(rows, nullptr);
-  EXPECT_EQ(rows->size(), 2u);
-}
-
-VarRelation MakeVarRel(IdSet vars, std::vector<std::vector<Value>> rows) {
-  VarRelation r(std::move(vars));
-  for (const auto& row : rows) {
-    r.rel().AddRow(std::span<const Value>(row));
+// Counts `q` on `db` under every forced strategy.
+std::vector<CountInt> CountsUnderEveryStrategy(const std::string& q,
+                                               const Database& db) {
+  auto query = ParseQuery(q);
+  EXPECT_TRUE(query.has_value()) << q;
+  CountingEngine engine;
+  std::vector<CountInt> counts;
+  for (const char* strategy : kStrategies) {
+    auto options = PlannerOptionsForStrategy(strategy);
+    EXPECT_TRUE(options.has_value()) << strategy;
+    CountResult result = engine.Count(*query, db, *options);
+    EXPECT_TRUE(result.ok()) << strategy;
+    counts.push_back(result.count);
   }
-  return r;
+  return counts;
 }
 
-TEST(VarRelationTest, ColumnOfFollowsSortedVarOrder) {
-  VarRelation r(IdSet{7, 2, 5});
-  EXPECT_EQ(r.ColumnOf(2), 0);
-  EXPECT_EQ(r.ColumnOf(5), 1);
-  EXPECT_EQ(r.ColumnOf(7), 2);
+TEST(DatabaseBuilderTest, DuplicateRowsCountLikeTheirDeduplicatedForm) {
+  // r holds every pair twice, s one pair three times; the deduplicated
+  // form holds each once.
+  DatabaseBuilder with_dups;
+  DatabaseBuilder distinct;
+  std::string r_csv;
+  for (Value a = 0; a < 6; ++a) {
+    for (Value b = 0; b < 6; ++b) {
+      if ((a + b) % 3 != 0) continue;
+      for (int copy = 0; copy < 2; ++copy) {
+        with_dups.AddTuple("r", {a, b});
+        r_csv += std::to_string(a) + "," + std::to_string(b) + "\n";
+      }
+      distinct.AddTuple("r", {a, b});
+    }
+  }
+  for (int copy = 0; copy < 3; ++copy) with_dups.AddTuple("s", {1, 2});
+  distinct.AddTuple("s", {1, 2});
+  const Database built = std::move(with_dups).Build();
+  const Database expected = std::move(distinct).Build();
+
+  Database loaded;
+  std::istringstream r_in(r_csv);
+  ASSERT_TRUE(LoadRelationCsv(r_in, "r", &loaded).ok());
+  std::istringstream s_in("1,2\n1,2\n1,2\n");
+  ASSERT_TRUE(LoadRelationCsv(s_in, "s", &loaded).ok());
+
+  EXPECT_EQ(built.TotalTuples(), expected.TotalTuples());
+  EXPECT_EQ(loaded.TotalTuples(), expected.TotalTuples());
+  EXPECT_EQ(expected.TotalTuples(), 13u);  // 12 distinct r rows + 1 s row
+
+  for (const char* q : {"Q(X) <- r(X,Y), r(Y,Z)", "Q(X,Z) <- r(X,Y), r(Y,Z)",
+                        "Q(X) <- r(X,Y), s(Y,Z)", "Q() <- r(X,X)"}) {
+    const std::vector<CountInt> truth = CountsUnderEveryStrategy(q, expected);
+    EXPECT_EQ(CountsUnderEveryStrategy(q, built), truth) << q;
+    EXPECT_EQ(CountsUnderEveryStrategy(q, loaded), truth) << q;
+  }
 }
 
-TEST(VarRelationTest, ProjectDedups) {
-  VarRelation r = MakeVarRel(IdSet{0, 1}, {{1, 10}, {1, 20}, {2, 10}});
-  VarRelation p = Project(r, IdSet{0});
-  EXPECT_EQ(p.size(), 2u);
-  EXPECT_TRUE(p.rel().ContainsRow(std::vector<Value>{1}));
-  EXPECT_TRUE(p.rel().ContainsRow(std::vector<Value>{2}));
+TEST(DatabaseBuilderTest, DeclaredRelationWithoutTuplesIsEmpty) {
+  DatabaseBuilder builder;
+  builder.DeclareRelation("r", 3);
+  const Database db = std::move(builder).Build();
+  ASSERT_TRUE(db.HasRelation("r"));
+  EXPECT_EQ(db.table("r")->arity(), 3);
+  EXPECT_EQ(db.table("r")->rows(), 0u);
+  EXPECT_FALSE(db.HasRelation("s"));
 }
 
-TEST(VarRelationTest, NaturalJoinOnSharedVar) {
-  VarRelation a = MakeVarRel(IdSet{0, 1}, {{1, 10}, {2, 20}});
-  VarRelation b = MakeVarRel(IdSet{1, 2}, {{10, 100}, {10, 101}, {30, 300}});
-  VarRelation j = Join(a, b);
-  EXPECT_EQ(j.vars(), (IdSet{0, 1, 2}));
-  EXPECT_EQ(j.size(), 2u);
-  EXPECT_TRUE(j.rel().ContainsRow(std::vector<Value>{1, 10, 100}));
-  EXPECT_TRUE(j.rel().ContainsRow(std::vector<Value>{1, 10, 101}));
+TEST(DatabaseBuilderTest, CopiesShareTables) {
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {1, 2});
+  const Database db = std::move(builder).Build();
+  const Database copy = db;
+  EXPECT_EQ(copy.table("r"), db.table("r"));  // one table, two handles
 }
 
-TEST(VarRelationTest, JoinWithDisjointVarsIsCartesian) {
-  VarRelation a = MakeVarRel(IdSet{0}, {{1}, {2}});
-  VarRelation b = MakeVarRel(IdSet{1}, {{10}, {20}, {30}});
-  EXPECT_EQ(Join(a, b).size(), 6u);
-}
-
-TEST(VarRelationTest, JoinWithUnitIsIdentity) {
-  VarRelation a = MakeVarRel(IdSet{0, 3}, {{1, 2}, {4, 5}});
-  VarRelation j = Join(VarRelation::Unit(), a);
-  EXPECT_TRUE(SameVarRelation(j, a));
-}
-
-TEST(VarRelationTest, SemijoinFiltersAndReportsChange) {
-  VarRelation a = MakeVarRel(IdSet{0, 1}, {{1, 10}, {2, 20}, {3, 30}});
-  VarRelation b = MakeVarRel(IdSet{1}, {{10}, {30}});
-  bool changed = false;
-  VarRelation s = Semijoin(a, b, &changed);
-  EXPECT_TRUE(changed);
-  EXPECT_EQ(s.size(), 2u);
-  changed = true;
-  VarRelation s2 = Semijoin(s, b, &changed);
-  EXPECT_FALSE(changed);
-  EXPECT_EQ(s2.size(), 2u);
-}
-
-TEST(VarRelationTest, SemijoinOnDisjointVarsKeepsAllWhenNonEmpty) {
-  VarRelation a = MakeVarRel(IdSet{0}, {{1}, {2}});
-  VarRelation b = MakeVarRel(IdSet{5}, {{7}});
-  EXPECT_EQ(Semijoin(a, b).size(), 2u);
-  VarRelation empty(IdSet{5});
-  EXPECT_EQ(Semijoin(a, empty).size(), 0u);
-}
-
-TEST(VarRelationTest, SelectEqual) {
-  VarRelation a = MakeVarRel(IdSet{0, 1}, {{1, 10}, {2, 20}, {1, 30}});
-  VarRelation s = SelectEqual(a, 0, 1);
-  EXPECT_EQ(s.size(), 2u);
-}
-
-TEST(DatabaseTest, DeclareAndAdd) {
+TEST(DatabaseBuilderTest, IdentityAtomSharesTheCsvBuiltTableAcrossCounts) {
+  // A CSV-built (not snapshot-loaded) database: an atom whose variables
+  // follow the stored column order shares the stored table, so an index
+  // built during one count is still cached for the next.
+  std::string csv;
+  for (int i = 0; i < 50; ++i) {
+    csv += std::to_string(i) + "," + std::to_string((i * 7) % 50) + "\n";
+  }
   Database db;
-  db.AddTuple("r", {1, 2});
-  db.AddTuple("r", {3, 4});
-  db.AddTuple("s", {5});
-  EXPECT_TRUE(db.HasRelation("r"));
-  EXPECT_FALSE(db.HasRelation("t"));
-  EXPECT_EQ(db.relation("r").size(), 2u);
-  EXPECT_EQ(db.MaxRelationSize(), 2u);
-  EXPECT_EQ(db.TotalTuples(), 3u);
-}
+  std::istringstream in(csv);
+  ASSERT_TRUE(LoadRelationCsv(in, "r", &db).ok());
+  const std::shared_ptr<const Table> stored = db.table("r");
 
-TEST(DatabaseTest, DedupAll) {
-  Database db;
-  db.AddTuple("r", {1, 2});
-  db.AddTuple("r", {1, 2});
-  db.DedupAll();
-  EXPECT_EQ(db.relation("r").size(), 1u);
+  auto q = ParseQuery("Q(X,Z) <- r(X,Y), r(Y,Z)");
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ(AtomToRel(q->atoms()[0], db).table(), stored);
+  EXPECT_EQ(stored->CachedIndexCount(), 0u);
+
+  CountingEngine engine;
+  const CountResult first = engine.Count(*q, db);
+  ASSERT_TRUE(first.ok());
+  const std::size_t cached = stored->CachedIndexCount();
+  EXPECT_GT(cached, 0u);
+  const std::shared_ptr<const TableIndex> index = stored->IndexOn({0});
+  const CountResult second = engine.Count(*q, db);
+  EXPECT_EQ(second.count, first.count);
+  EXPECT_EQ(stored->CachedIndexCount(), cached);  // nothing rebuilt
+  EXPECT_EQ(stored->IndexOn({0}), index);
+  EXPECT_EQ(db.table("r"), stored);
 }
 
 }  // namespace

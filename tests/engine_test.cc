@@ -292,13 +292,12 @@ TEST(ExecutorTest, ProvenanceFieldsPopulated) {
 
 TEST(ExecutorTest, FilterProvenanceCountsMissHeavyProbesAndGatesOff) {
   ConjunctiveQuery q = Parse("Q(X,Z) <- r(X,Y), s(Y,Z)");
-  Database db;
-  Relation& r = db.DeclareRelation("r", 2);
-  Relation& s = db.DeclareRelation("s", 2);
+  DatabaseBuilder builder;
   // 380 of r's 400 join-key values are absent from s: the reducer's
   // semijoin over r is miss-heavy, the shape the filters absorb.
-  for (Value i = 0; i < 400; ++i) r.AddRow({i, i + 1000});
-  for (Value i = 0; i < 20; ++i) s.AddRow({i + 1000, i});
+  for (Value i = 0; i < 400; ++i) builder.AddTuple("r", {i, i + 1000});
+  for (Value i = 0; i < 20; ++i) builder.AddTuple("s", {i + 1000, i});
+  const Database db = std::move(builder).Build();
 
   CountingEngine filtered;
   CountResult with = filtered.Count(q, db);

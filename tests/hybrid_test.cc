@@ -13,28 +13,22 @@
 namespace sharpcq {
 namespace {
 
-VarRelation MakeVarRel(IdSet vars, std::vector<std::vector<Value>> rows) {
-  VarRelation r(std::move(vars));
-  for (const auto& row : rows) r.rel().AddRow(std::span<const Value>(row));
-  return r;
-}
-
 // --- degrees (Definition 6.1) -------------------------------------------------
 
 TEST(DegreeTest, KeyGivesDegreeOne) {
-  VarRelation r = MakeVarRel(IdSet{0, 1}, {{1, 10}, {2, 20}, {3, 30}});
+  Rel r = MakeRel(IdSet{0, 1}, {{1, 10}, {2, 20}, {3, 30}});
   EXPECT_EQ(DegreeOfRelation(r, IdSet{0}), 1u);
 }
 
 TEST(DegreeTest, MultiExtensionCounted) {
-  VarRelation r =
-      MakeVarRel(IdSet{0, 1}, {{1, 10}, {1, 11}, {1, 12}, {2, 20}});
+  Rel r =
+      MakeRel(IdSet{0, 1}, {{1, 10}, {1, 11}, {1, 12}, {2, 20}});
   EXPECT_EQ(DegreeOfRelation(r, IdSet{0}), 3u);
   // No free variables in the relation: the whole relation is one group.
   EXPECT_EQ(DegreeOfRelation(r, IdSet{9}), 4u);
   // All variables free: degree 1.
   EXPECT_EQ(DegreeOfRelation(r, IdSet{0, 1}), 1u);
-  EXPECT_EQ(DegreeOfRelation(VarRelation(IdSet{0}), IdSet{0}), 0u);
+  EXPECT_EQ(DegreeOfRelation(Rel(IdSet{0}), IdSet{0}), 0u);
 }
 
 TEST(DegreeTest, ExampleC2NaiveBoundIsM) {

@@ -9,6 +9,7 @@
 
 #include "core/enumerate_answers.h"
 #include "core/sharp_counting.h"
+#include "engine/engine.h"
 #include "count/enumeration.h"
 #include "gen/paper_queries.h"
 #include "gen/random_gen.h"
@@ -21,8 +22,8 @@
 namespace sharpcq {
 namespace {
 
-Database SocialDb() {
-  Database db;
+DatabaseBuilder SocialDbBuilder() {
+  DatabaseBuilder db;
   // follows(a, b), lives(person, city), age(person, years)
   for (auto [a, b] : std::vector<std::pair<Value, Value>>{
            {1, 2}, {2, 3}, {3, 1}, {1, 3}, {4, 1}, {2, 4}}) {
@@ -36,10 +37,13 @@ Database SocialDb() {
   return db;
 }
 
+Database SocialDb() { return SocialDbBuilder().Build(); }
+
 CountInt CountText(const std::string& text, const Database& db) {
   auto q = ParseQuery(text);
   EXPECT_TRUE(q.has_value()) << text;
-  CountResult result = CountAnswers(*q, db);
+  CountResult result = CountingEngine::Shared().Count(
+      *q, db, StructuralFirstOptions(/*hybrid=*/false));
   CountInt brute = CountByBacktracking(*q, db);
   EXPECT_EQ(result.count, brute) << text << " via " << result.method;
   return result.count;
@@ -64,9 +68,10 @@ TEST(IntegrationTest, SelfJoinTriangles) {
 }
 
 TEST(IntegrationTest, RepeatedVariableInAtom) {
-  Database db = SocialDb();
-  db.AddTuple("follows", {5, 5});  // a self-loop
-  EXPECT_EQ(CountText("Q(X) <- follows(X,X)", db), CountInt{1});
+  DatabaseBuilder builder = SocialDbBuilder();
+  builder.AddTuple("follows", {5, 5});  // a self-loop
+  EXPECT_EQ(CountText("Q(X) <- follows(X,X)", std::move(builder).Build()),
+            CountInt{1});
 }
 
 TEST(IntegrationTest, BooleanQueries) {
@@ -77,7 +82,7 @@ TEST(IntegrationTest, BooleanQueries) {
       CountInt{1});
   // A relation symbol with no matching tuples at all.
   Database db = SocialDb();
-  db.DeclareRelation("blocked", 2);
+  db.SetTable("blocked", Table::Empty(2));
   EXPECT_EQ(CountText("Q() <- follows(X,Y), blocked(Y,X)", db), CountInt{0});
 }
 
@@ -103,18 +108,19 @@ TEST(IntegrationTest, HybridFacadeAgreesEverywhere) {
     dp.tuples_per_relation = 9;
     dp.seed = seed * 271;
     Database db = MakeRandomDatabase(q, dp);
-    CountResult result = CountAnswersWithHybrid(q, db);
+    CountResult result = CountingEngine::Shared().Count(
+        q, db, StructuralFirstOptions(/*hybrid=*/true));
     EXPECT_EQ(result.count, CountByBacktracking(q, db))
         << "seed " << seed << " via " << result.method;
   }
 }
 
-TEST(IntegrationTest, HybridFacadeUsesHybridOnQbar) {
+TEST(IntegrationTest, HybridPolicyUsesHybridOnQbar) {
   ConjunctiveQuery q = MakeQbarh2(3);
   Database db = MakeQbarh2Database(3, 4);
-  CountOptions options;
-  options.max_width = 2;  // structural fails at 2; hybrid succeeds
-  CountResult result = CountAnswersWithHybrid(q, db, options);
+  // Structural fails at width 2; hybrid succeeds.
+  CountResult result = CountingEngine::Shared().Count(
+      q, db, StructuralFirstOptions(/*hybrid=*/true, 2));
   EXPECT_EQ(result.count, CountInt{1} << 3);
   EXPECT_EQ(result.method.rfind("#b-hypertree", 0), 0u) << result.method;
 }

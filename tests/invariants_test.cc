@@ -132,12 +132,13 @@ TEST(EdgeCaseTest, FreeVariableInSingleUnaryAtom) {
   q.AddAtomVars("u", {"X"});
   q.AddAtomVars("r", {"X", "Y"});
   q.SetFreeByName({"X"});
-  Database db;
-  db.AddTuple("u", {1});
-  db.AddTuple("u", {2});
-  db.AddTuple("u", {3});
-  db.AddTuple("r", {1, 5});
-  db.AddTuple("r", {3, 6});
+  DatabaseBuilder builder;
+  builder.AddTuple("u", {1});
+  builder.AddTuple("u", {2});
+  builder.AddTuple("u", {3});
+  builder.AddTuple("r", {1, 5});
+  builder.AddTuple("r", {3, 6});
+  const Database db = std::move(builder).Build();
   auto result = CountBySharpHypertree(q, db, 1);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->count, CountInt{2});
@@ -150,9 +151,10 @@ TEST(EdgeCaseTest, DuplicateAtomsCollapseInCore) {
   q.SetFreeByName({"X"});
   ConjunctiveQuery core = ComputeColoredCore(q);
   EXPECT_EQ(core.NumAtoms(), 1u);
-  Database db;
-  db.AddTuple("r", {1, 2});
-  db.AddTuple("r", {4, 2});
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {1, 2});
+  builder.AddTuple("r", {4, 2});
+  const Database db = std::move(builder).Build();
   auto result = CountBySharpHypertree(q, db, 1);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->count, CountInt{2});
@@ -163,11 +165,12 @@ TEST(EdgeCaseTest, NegativeValuesFlowThrough) {
   q.AddAtomVars("r", {"X", "Y"});
   q.AddAtomVars("s", {"Y"});
   q.SetFreeByName({"X"});
-  Database db;
-  db.AddTuple("r", {-5, -6});
-  db.AddTuple("r", {-5, 7});
-  db.AddTuple("r", {8, -6});
-  db.AddTuple("s", {-6});
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {-5, -6});
+  builder.AddTuple("r", {-5, 7});
+  builder.AddTuple("r", {8, -6});
+  builder.AddTuple("s", {-6});
+  const Database db = std::move(builder).Build();
   auto result = CountBySharpHypertree(q, db, 1);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->count, CountInt{2});  // X in {-5, 8}
@@ -193,12 +196,13 @@ TEST(EdgeCaseTest, CartesianProductQueries) {
   q.AddAtomVars("r", {"X"});
   q.AddAtomVars("s", {"Y"});
   q.SetFreeByName({"X", "Y"});
-  Database db;
-  db.AddTuple("r", {1});
-  db.AddTuple("r", {2});
-  db.AddTuple("s", {10});
-  db.AddTuple("s", {20});
-  db.AddTuple("s", {30});
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {1});
+  builder.AddTuple("r", {2});
+  builder.AddTuple("s", {10});
+  builder.AddTuple("s", {20});
+  builder.AddTuple("s", {30});
+  const Database db = std::move(builder).Build();
   auto result = CountBySharpHypertree(q, db, 1);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->count, CountInt{6});
@@ -214,10 +218,11 @@ TEST(EdgeCaseTest, WideAtomsCountedThroughWidthOne) {
   ConjunctiveQuery q;
   q.AddAtomVars("w", {"A", "B", "C", "D", "E"});
   q.SetFreeByName({"A", "C"});
-  Database db;
-  db.AddTuple("w", {1, 2, 3, 4, 5});
-  db.AddTuple("w", {1, 9, 3, 8, 7});
-  db.AddTuple("w", {1, 2, 4, 4, 5});
+  DatabaseBuilder builder;
+  builder.AddTuple("w", {1, 2, 3, 4, 5});
+  builder.AddTuple("w", {1, 9, 3, 8, 7});
+  builder.AddTuple("w", {1, 2, 4, 4, 5});
+  const Database db = std::move(builder).Build();
   auto result = CountBySharpHypertree(q, db, 1);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->count, CountInt{2});  // (1,3) and (1,4)

@@ -364,14 +364,14 @@ TEST(SlowQueryLogTest, ThresholdAndSamplingAreDeterministic) {
 // --- engine trace-through ----------------------------------------------------
 
 Database MakeChainDatabase() {
-  Database db;
+  DatabaseBuilder db;
   db.AddTuple("r", {1, 2});
   db.AddTuple("r", {2, 3});
   db.AddTuple("r", {3, 4});
   db.AddTuple("s", {2, 5});
   db.AddTuple("s", {3, 6});
   db.AddTuple("s", {4, 7});
-  return db;
+  return std::move(db).Build();
 }
 
 TEST(EngineTraceTest, CountRecordsPlannerAndExecutionSpans) {

@@ -3,6 +3,7 @@
 #include <tuple>
 
 #include "core/sharp_counting.h"
+#include "engine/engine.h"
 #include "count/enumeration.h"
 #include "count/starsize.h"
 #include "gen/random_gen.h"
@@ -54,8 +55,9 @@ TEST_P(CountingAgreementTest, FrontierMaterializationAgrees) {
   EXPECT_EQ(CountByFrontierMaterialization(query_, db_), truth_);
 }
 
-TEST_P(CountingAgreementTest, FacadeAgrees) {
-  CountResult result = CountAnswers(query_, db_);
+TEST_P(CountingAgreementTest, StructuralFirstPolicyAgrees) {
+  CountResult result = CountingEngine::Shared().Count(
+      query_, db_, StructuralFirstOptions(/*hybrid=*/false));
   EXPECT_EQ(result.count, truth_) << "method: " << result.method;
 }
 

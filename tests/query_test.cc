@@ -157,59 +157,63 @@ TEST(ParserTest, RejectsEmptyArgumentPositions) {
   EXPECT_TRUE(ParseQuery("Q() <- r(X,Y)").has_value());
 }
 
-// --- atom -> VarRelation ----------------------------------------------------
+// --- atom -> Rel ------------------------------------------------------------
 
 TEST(AtomRelationTest, PlainAtom) {
-  Database db;
-  db.AddTuple("r", {1, 2});
-  db.AddTuple("r", {3, 4});
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {1, 2});
+  builder.AddTuple("r", {3, 4});
+  const Database db = std::move(builder).Build();
   ConjunctiveQuery q;
   q.AddAtomVars("r", {"X", "Y"});
-  VarRelation rel = AtomToVarRelation(q.atoms()[0], db);
+  Rel rel = AtomToRel(q.atoms()[0], db);
   EXPECT_EQ(rel.size(), 2u);
   EXPECT_EQ(rel.vars().size(), 2u);
 }
 
 TEST(AtomRelationTest, ConstantFiltersRows) {
-  Database db;
-  db.AddTuple("r", {1, 2});
-  db.AddTuple("r", {3, 2});
-  db.AddTuple("r", {3, 9});
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {1, 2});
+  builder.AddTuple("r", {3, 2});
+  builder.AddTuple("r", {3, 9});
+  const Database db = std::move(builder).Build();
   ConjunctiveQuery q;
   VarId x = q.InternVar("X");
   q.AddAtom("r", {Term::Var(x), Term::Const(2)});
-  VarRelation rel = AtomToVarRelation(q.atoms()[0], db);
+  Rel rel = AtomToRel(q.atoms()[0], db);
   EXPECT_EQ(rel.size(), 2u);
-  EXPECT_TRUE(rel.rel().ContainsRow(std::vector<Value>{1}));
-  EXPECT_TRUE(rel.rel().ContainsRow(std::vector<Value>{3}));
+  EXPECT_TRUE(rel.table()->ContainsRow(std::vector<Value>{1}));
+  EXPECT_TRUE(rel.table()->ContainsRow(std::vector<Value>{3}));
 }
 
 TEST(AtomRelationTest, RepeatedVariableEnforcesEquality) {
-  Database db;
-  db.AddTuple("r", {1, 1});
-  db.AddTuple("r", {1, 2});
-  db.AddTuple("r", {3, 3});
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {1, 1});
+  builder.AddTuple("r", {1, 2});
+  builder.AddTuple("r", {3, 3});
+  const Database db = std::move(builder).Build();
   ConjunctiveQuery q;
   VarId x = q.InternVar("X");
   q.AddAtom("r", {Term::Var(x), Term::Var(x)});
-  VarRelation rel = AtomToVarRelation(q.atoms()[0], db);
+  Rel rel = AtomToRel(q.atoms()[0], db);
   EXPECT_EQ(rel.size(), 2u);  // (1) and (3)
   EXPECT_EQ(rel.vars().size(), 1u);
 }
 
 TEST(AtomRelationTest, ProjectionDedups) {
   // Two db rows that agree on the variable positions collapse.
-  Database db;
-  db.AddTuple("r", {1, 7});
-  db.AddTuple("r", {1, 8});
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {1, 7});
+  builder.AddTuple("r", {1, 8});
+  const Database db = std::move(builder).Build();
   ConjunctiveQuery q;
   VarId x = q.InternVar("X");
   q.AddAtom("r", {Term::Var(x), Term::Var(q.InternVar("Y"))});
   ConjunctiveQuery q2;
   VarId x2 = q2.InternVar("X");
   q2.AddAtom("r", {Term::Var(x2), Term::Const(7)});
-  EXPECT_EQ(AtomToVarRelation(q.atoms()[0], db).size(), 2u);
-  EXPECT_EQ(AtomToVarRelation(q2.atoms()[0], db).size(), 1u);
+  EXPECT_EQ(AtomToRel(q.atoms()[0], db).size(), 2u);
+  EXPECT_EQ(AtomToRel(q2.atoms()[0], db).size(), 1u);
 }
 
 }  // namespace

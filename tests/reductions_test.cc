@@ -23,7 +23,7 @@ CountOracle BacktrackingOracle() {
 
 // Adds a color relation for every variable of q, restricting it to `dom`.
 void AddUniformColors(const ConjunctiveQuery& q, const std::vector<Value>& dom,
-                      Database* db) {
+                      DatabaseBuilder* db) {
   for (VarId v : q.AllVars()) {
     std::string rel = ConjunctiveQuery::ColorRelationName(q.VarName(v));
     for (Value value : dom) db->AddTuple(rel, {value});
@@ -52,13 +52,14 @@ TEST(ColorEliminationTest, DirectedPathAgainstDirect) {
   q.AddAtomVars("e", {"Y", "Z"});
   q.SetFreeByName({"X", "Z"});
 
-  Database b;
+  DatabaseBuilder b_builder;
   // A small digraph.
   for (auto [s, t] : std::vector<std::pair<Value, Value>>{
            {0, 1}, {1, 2}, {2, 0}, {1, 3}, {3, 3}}) {
-    b.AddTuple("e", {s, t});
+    b_builder.AddTuple("e", {s, t});
   }
-  AddUniformColors(q, {0, 1, 2, 3}, &b);
+  AddUniformColors(q, {0, 1, 2, 3}, &b_builder);
+  const Database b = std::move(b_builder).Build();
 
   auto via = CountFullColorViaOracle(q, b, BacktrackingOracle());
   ASSERT_TRUE(via.has_value());
@@ -69,16 +70,17 @@ TEST(ColorEliminationTest, RestrictiveDomainsChangeTheCount) {
   ConjunctiveQuery q;
   q.AddAtomVars("e", {"X", "Y"});
   q.SetFreeByName({"X"});
-  Database b;
-  b.AddTuple("e", {0, 1});
-  b.AddTuple("e", {1, 2});
-  b.AddTuple("e", {2, 0});
+  DatabaseBuilder b_builder;
+  b_builder.AddTuple("e", {0, 1});
+  b_builder.AddTuple("e", {1, 2});
+  b_builder.AddTuple("e", {2, 0});
   // X restricted to {0,1}, Y unrestricted.
-  b.AddTuple(ConjunctiveQuery::ColorRelationName("X"), {0});
-  b.AddTuple(ConjunctiveQuery::ColorRelationName("X"), {1});
+  b_builder.AddTuple(ConjunctiveQuery::ColorRelationName("X"), {0});
+  b_builder.AddTuple(ConjunctiveQuery::ColorRelationName("X"), {1});
   for (Value v : {0, 1, 2}) {
-    b.AddTuple(ConjunctiveQuery::ColorRelationName("Y"), {v});
+    b_builder.AddTuple(ConjunctiveQuery::ColorRelationName("Y"), {v});
   }
+  const Database b = std::move(b_builder).Build();
   auto via = CountFullColorViaOracle(q, b, BacktrackingOracle());
   ASSERT_TRUE(via.has_value());
   EXPECT_EQ(*via, CountInt{2});
@@ -90,11 +92,12 @@ TEST(ColorEliminationTest, SymmetricTwoCycleDividesByAutomorphisms) {
   q.AddAtomVars("e", {"X", "Y"});
   q.AddAtomVars("e", {"Y", "X"});
   q.SetFreeByName({"X", "Y"});
-  Database b;
-  b.AddTuple("e", {0, 1});
-  b.AddTuple("e", {1, 0});
-  b.AddTuple("e", {2, 2});
-  AddUniformColors(q, {0, 1, 2}, &b);
+  DatabaseBuilder b_builder;
+  b_builder.AddTuple("e", {0, 1});
+  b_builder.AddTuple("e", {1, 0});
+  b_builder.AddTuple("e", {2, 2});
+  AddUniformColors(q, {0, 1, 2}, &b_builder);
+  const Database b = std::move(b_builder).Build();
   auto via = CountFullColorViaOracle(q, b, BacktrackingOracle());
   ASSERT_TRUE(via.has_value());
   // Answers: (0,1), (1,0), (2,2).
@@ -108,9 +111,10 @@ TEST(ColorEliminationTest, NonCoreColoringRejected) {
   q.AddAtomVars("e", {"X", "Y"});
   q.AddAtomVars("e", {"X", "Z"});
   q.SetFreeByName({"X"});
-  Database b;
-  b.AddTuple("e", {0, 1});
-  AddUniformColors(q, {0, 1}, &b);
+  DatabaseBuilder b_builder;
+  b_builder.AddTuple("e", {0, 1});
+  AddUniformColors(q, {0, 1}, &b_builder);
+  const Database b = std::move(b_builder).Build();
   EXPECT_FALSE(
       CountFullColorViaOracle(q, b, BacktrackingOracle()).has_value());
 }
@@ -120,9 +124,10 @@ TEST(ColorEliminationTest, ConstantsRejected) {
   VarId x = q.InternVar("X");
   q.AddAtom("e", {Term::Var(x), Term::Const(7)});
   q.SetFree(IdSet{x});
-  Database b;
-  b.AddTuple("e", {0, 7});
-  AddUniformColors(q, {0, 7}, &b);
+  DatabaseBuilder b_builder;
+  b_builder.AddTuple("e", {0, 7});
+  AddUniformColors(q, {0, 7}, &b_builder);
+  const Database b = std::move(b_builder).Build();
   EXPECT_FALSE(
       CountFullColorViaOracle(q, b, BacktrackingOracle()).has_value());
 }
@@ -150,13 +155,19 @@ TEST(ColorEliminationTest, RandomInstancesAgreeWithDirect) {
     dp.seed = seed * 17;
     Database b = MakeRandomDatabase(q, dp);
     // Random per-variable domains (non-empty).
+    DatabaseBuilder colors;
     for (VarId v : q.AllVars()) {
       std::string rel = ConjunctiveQuery::ColorRelationName(q.VarName(v));
-      b.AddTuple(rel, {static_cast<Value>(rng() % 3)});
-      if (rng() % 2 == 0) b.AddTuple(rel, {static_cast<Value>(rng() % 3)});
-      b.AddTuple(rel, {static_cast<Value>(2)});
+      colors.AddTuple(rel, {static_cast<Value>(rng() % 3)});
+      if (rng() % 2 == 0) {
+        colors.AddTuple(rel, {static_cast<Value>(rng() % 3)});
+      }
+      colors.AddTuple(rel, {static_cast<Value>(2)});
     }
-    b.DedupAll();
+    const Database color_db = std::move(colors).Build();
+    for (const std::string& rel : color_db.SortedRelationNames()) {
+      b.SetTable(rel, color_db.table(rel));
+    }
     auto via = CountFullColorViaOracle(q, b, BacktrackingOracle());
     ASSERT_TRUE(via.has_value()) << "seed " << seed;
     EXPECT_EQ(*via, CountFullColorDirect(q, b)) << "seed " << seed;

@@ -112,24 +112,23 @@ ConjunctiveQuery Parse(const std::string& text) {
 }
 
 Database SmallDatabase() {
-  Database db;
+  DatabaseBuilder db;
   db.AddTuple("r", {1, 2});
   db.AddTuple("r", {2, 3});
   db.AddTuple("r", {3, 1});
   db.AddTuple("s", {1, 10});
   db.AddTuple("s", {2, 20});
-  return db;
+  return std::move(db).Build();
 }
 
 // Big enough that any join over it charges far more than the tiny budgets
 // below (one index on r alone is >= 4000 * 40 bytes).
 Database BigDatabase() {
-  Database db;
+  DatabaseBuilder db;
   std::mt19937 rng(7);
   std::uniform_int_distribution<Value> value(0, 199);
   for (int i = 0; i < 4000; ++i) db.AddTuple("r", {value(rng), value(rng)});
-  db.DedupAll();
-  return db;
+  return std::move(db).Build();
 }
 
 const char kBigQuery[] = "Q(A,B,C) <- r(A,B), r(B,C), r(C,A)";
@@ -254,8 +253,9 @@ void RunCrashTrial(const std::string& site) {
     trigger.action = FailpointAction::kCrash;
     failpoint::Arm(site, trigger);
     Catalog catalog(root);
-    Database next;
-    next.AddTuple("r", {9, 9});
+    DatabaseBuilder next_builder;
+    next_builder.AddTuple("r", {9, 9});
+    const Database next = std::move(next_builder).Build();
     Status status;
     catalog.Ingest("db", next, nullptr, &status);
     ::_exit(0);  // the failpoint did not fire: the trial is broken
@@ -339,7 +339,8 @@ TEST(QuarantineTest, CorruptCurrentGenerationRollsBackToOlder) {
     ASSERT_TRUE(
         catalog.Ingest("db", SmallDatabase(), nullptr, &status).has_value());
     Database next = SmallDatabase();
-    next.AddTuple("r", {7, 8});
+    std::istringstream row("7,8\n");
+    ASSERT_TRUE(LoadRelationCsv(row, "r", &next).ok());
     ASSERT_TRUE(catalog.Ingest("db", next, nullptr, &status).has_value());
     snapshot2 = catalog.SnapshotPath("db", 2);
   }
@@ -459,6 +460,14 @@ TEST(MemoryBudgetEngineTest, GenerousBudgetMatchesUnbudgetedCount) {
   EXPECT_LT(result.mem_charged_bytes, options.max_query_bytes);
 }
 
+TEST(MemoryBudgetEngineTest, RefusalTextNamesTheSizeOrSaysItIsUnknown) {
+  // A budget refusal knows its size; a std::bad_alloc no budget charged
+  // leaves mem_refused_bytes 0, which must not read as "0 bytes".
+  EXPECT_EQ(RefusedAllocationText(4096),
+            "refused an allocation of 4096 bytes");
+  EXPECT_EQ(RefusedAllocationText(0), "refused an allocation of unknown size");
+}
+
 TEST(MemoryBudgetEngineTest, TinyBudgetRefusesAndEngineStaysUsable) {
   const Database big = BigDatabase();
   EngineOptions options;
@@ -535,16 +544,17 @@ TEST(OutOfMemoryTest, UnbudgetedBadAllocIsResourceExhausted) {
   // #-hypertree, each bag is a 36M-row cross product (3.47 GB), far past
   // the child's 1 GB address space. No budget is configured, so nothing
   // refuses the allocation ahead of time: it fails with std::bad_alloc.
-  Database db;
+  DatabaseBuilder builder;
   std::mt19937_64 rng(6000);
   for (const char* name : {"ca", "cb", "cc", "cd"}) {
     std::set<std::pair<Value, Value>> seen;
     while (seen.size() < 6000) {
       const Value a = static_cast<Value>(rng() % 2000);
       const Value b = static_cast<Value>(rng() % 2000);
-      if (seen.emplace(a, b).second) db.AddTuple(name, {a, b});
+      if (seen.emplace(a, b).second) builder.AddTuple(name, {a, b});
     }
   }
+  const Database db = std::move(builder).Build();
   const ConjunctiveQuery q =
       Parse("Q(A,E) <- ca(A,B), cb(B,C), cc(C,D), cd(D,E)");
   const auto sharp = PlannerOptionsForStrategy("sharp", PlannerOptions{});
@@ -678,6 +688,11 @@ TEST(DaemonBudgetTest, OverBudgetCountRefusedWhileDaemonKeepsServing) {
   ASSERT_TRUE(refused.has_value()) << error;
   EXPECT_FALSE(refused->ok);
   EXPECT_EQ(refused->code, wire::kResourceExhausted) << refused->message;
+  EXPECT_NE(refused->message.find("refused an allocation of "),
+            std::string::npos)
+      << refused->message;
+  EXPECT_EQ(refused->message.find("unknown size"), std::string::npos)
+      << refused->message;
 
   // The same connection immediately serves a query that fits the budget.
   auto served = client.Call(CountRequest("demo", kSmallQuery), &error);

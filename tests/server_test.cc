@@ -58,12 +58,11 @@ ConjunctiveQuery Parse(const std::string& text) {
 // 4-cycle with all variables free by backtracking takes ~30 seconds —
 // far past every deadline used here, so expiry always lands mid-count.
 Database MakeSlowDatabase() {
-  Database db;
+  DatabaseBuilder db;
   std::mt19937 rng(42);
   std::uniform_int_distribution<Value> value(0, 199);
   for (int i = 0; i < 4000; ++i) db.AddTuple("r", {value(rng), value(rng)});
-  db.DedupAll();
-  return db;
+  return std::move(db).Build();
 }
 
 const char kSlowQuery[] = "Q(A,B,C,D) <- r(A,B), r(B,C), r(C,D), r(D,A)";
@@ -202,8 +201,9 @@ TEST(MorselCancelTest, SequentialExecutionChunksWhenTokenInstalled) {
 }
 
 TEST(EngineCancelTest, PreCancelledTokenReturnsCancelledWithoutExecuting) {
-  Database db;
-  db.AddTuple("r", {1, 2});
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {1, 2});
+  const Database db = std::move(builder).Build();
   CountingEngine engine;
   CancelToken token;
   token.Cancel();
@@ -231,9 +231,10 @@ TEST(EngineCancelTest, DeadlineExpiryMidBacktrackingReturnsDeadlineExceeded) {
   // instead of letting a many-second count run to completion.
   EXPECT_LT(elapsed_ms, 5000.0);
   // A null token still runs to completion on a small instance.
-  Database small;
-  small.AddTuple("r", {1, 2});
-  small.AddTuple("r", {2, 1});
+  DatabaseBuilder small_builder;
+  small_builder.AddTuple("r", {1, 2});
+  small_builder.AddTuple("r", {2, 1});
+  const Database small = std::move(small_builder).Build();
   CountResult full =
       engine.Count(Parse(kSlowQuery), small, *planner, nullptr);
   EXPECT_TRUE(full.ok());
@@ -247,12 +248,13 @@ TEST(EngineCancelTest, DeadlineExpiryMidBacktrackingReturnsDeadlineExceeded) {
 void SeedCatalog(const std::string& root) {
   Catalog catalog(root);
   Status error;
-  Database demo;
-  demo.AddTuple("r", {1, 2});
-  demo.AddTuple("r", {2, 3});
-  demo.AddTuple("r", {3, 1});
-  demo.AddTuple("s", {1, 10});
-  demo.AddTuple("s", {2, 20});
+  DatabaseBuilder demo_builder;
+  demo_builder.AddTuple("r", {1, 2});
+  demo_builder.AddTuple("r", {2, 3});
+  demo_builder.AddTuple("r", {3, 1});
+  demo_builder.AddTuple("s", {1, 10});
+  demo_builder.AddTuple("s", {2, 20});
+  const Database demo = std::move(demo_builder).Build();
   ASSERT_TRUE(catalog.Ingest("demo", demo, nullptr, &error).has_value())
       << error;
   ASSERT_TRUE(
@@ -338,6 +340,57 @@ TEST(DaemonTest, CountIngestInspectStatusRoundTrip) {
   EXPECT_EQ(*state->Field("responses_error"), "0");
   EXPECT_NE(state->Field("databases")->find("demo"), std::string::npos);
   EXPECT_NE(state->Field("databases")->find("slow"), std::string::npos);
+}
+
+TEST(DaemonTest, IngestIntoAStoredRelationAppendsAndCountsMatchBacktracking) {
+  DaemonFixture fixture;
+  Client client = fixture.Connect();
+  std::string error;
+
+  // demo's r holds (1,2), (2,3), (3,1): append two new rows and a duplicate.
+  Request ingest;
+  ingest.command = "ingest";
+  ingest.args = {{"db", "demo"}, {"relation", "r"}};
+  ingest.body = "3,4\n1,2\n4,1\n";
+  auto ingested = client.Call(ingest, &error);
+  ASSERT_TRUE(ingested.has_value()) << error;
+  ASSERT_TRUE(ingested->ok) << ingested->code << " " << ingested->message;
+  EXPECT_EQ(*ingested->Field("generation"), "2");
+
+  DatabaseBuilder expected;
+  for (auto [a, b] : std::vector<std::pair<Value, Value>>{
+           {1, 2}, {2, 3}, {3, 1}, {3, 4}, {4, 1}}) {
+    expected.AddTuple("r", {a, b});
+  }
+  expected.AddTuple("s", {1, 10});
+  expected.AddTuple("s", {2, 20});
+  const Database db = std::move(expected).Build();
+  for (const char* text : {"Q(X,Z) <- r(X,Y), r(Y,Z)", "Q(X) <- r(X,X)",
+                           "Q(X,W) <- r(X,Y), r(Y,Z), s(Z,W)"}) {
+    auto counted = client.Call(CountRequest("demo", text), &error);
+    ASSERT_TRUE(counted.has_value()) << error;
+    ASSERT_TRUE(counted->ok) << counted->code << " " << counted->message;
+    EXPECT_EQ(*counted->Field("generation"), "2");
+    EXPECT_EQ(*counted->Field("count"),
+              CountToString(CountByBacktracking(*ParseQuery(text), db)))
+        << text;
+  }
+
+  // A CSV whose arity differs from the stored relation's is a parse error,
+  // and the database keeps its generation.
+  Request wide;
+  wide.command = "ingest";
+  wide.args = {{"db", "demo"}, {"relation", "r"}};
+  wide.body = "1,2,3\n";
+  auto rejected = client.Call(wide, &error);
+  ASSERT_TRUE(rejected.has_value()) << error;
+  EXPECT_EQ(rejected->code, wire::kParseError) << rejected->message;
+  EXPECT_NE(rejected->message.find("arity"), std::string::npos)
+      << rejected->message;
+  auto recount = client.Call(CountRequest("demo", "Q(X) <- r(X,X)"), &error);
+  ASSERT_TRUE(recount.has_value()) << error;
+  ASSERT_TRUE(recount->ok) << recount->message;
+  EXPECT_EQ(*recount->Field("generation"), "2");
 }
 
 TEST(DaemonTest, CountErrorsCarryDistinctCodes) {

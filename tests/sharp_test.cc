@@ -2,6 +2,7 @@
 
 #include "core/sharp_counting.h"
 #include "core/sharp_decomposition.h"
+#include "engine/engine.h"
 #include "count/enumeration.h"
 #include "gen/paper_queries.h"
 #include "gen/random_gen.h"
@@ -166,13 +167,14 @@ TEST(SharpCountTest, Qn1CycleCountsExactlyD) {
 
 TEST(SharpCountTest, BooleanBicliqueViaCore) {
   ConjunctiveQuery q = MakeQn2(3);
-  Database db;
-  db.AddTuple("r", {1, 2});
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {1, 2});
+  const Database db = std::move(builder).Build();
   auto result = CountBySharpHypertree(q, db, 1);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->count, CountInt{1});
   Database empty;
-  empty.DeclareRelation("r", 2);
+  empty.SetTable("r", Table::Empty(2));
   auto zero = CountBySharpHypertree(q, empty, 1);
   ASSERT_TRUE(zero.has_value());
   EXPECT_EQ(zero->count, CountInt{0});
@@ -181,27 +183,26 @@ TEST(SharpCountTest, BooleanBicliqueViaCore) {
 TEST(SharpCountTest, EmptyDatabaseRelationGivesZero) {
   ConjunctiveQuery q = MakeQ1();
   Database db = MakeQ1Database(4, 6, 3);
-  db.mutable_relation("s2") = Relation(2);  // empty one relation
+  db.SetTable("s2", Table::Empty(2));  // empty one relation
   auto result = CountBySharpHypertree(q, db, 2);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->count, CountInt{0});
 }
 
-TEST(SharpCountTest, CountAnswersFacadeFallsBackGracefully) {
+TEST(SharpCountTest, StructuralFirstPolicyFallsBackGracefully) {
   // Qh2 with h=3 has #-htw 4 (covering the frontier {X0..X3} takes the r
-  // atom plus three w_i atoms); with max_width 2 the facade must fall back
+  // atom plus three w_i atoms); with max_width 2 the engine must fall back
   // and still return the right count.
   ConjunctiveQuery q = MakeQh2(3);
   Database db = MakeQh2Database(3);
-  CountOptions options;
-  options.max_width = 2;
-  CountResult result = CountAnswers(q, db, options);
+  CountingEngine engine;
+  CountResult result =
+      engine.Count(q, db, StructuralFirstOptions(/*hybrid=*/false, 2));
   EXPECT_EQ(result.count, CountInt{1} << 3);
   EXPECT_EQ(result.method, "backtracking");
   // With enough width the structural method kicks in.
-  CountOptions wide;
-  wide.max_width = 4;
-  CountResult structural = CountAnswers(q, db, wide);
+  CountResult structural =
+      engine.Count(q, db, StructuralFirstOptions(/*hybrid=*/false, 4));
   EXPECT_EQ(structural.count, CountInt{1} << 3);
   EXPECT_NE(structural.method, "backtracking");
 }

@@ -221,27 +221,20 @@ TEST(ConsistencyOracleTest, Lemma43CoreMatchesExactCore) {
 // --- pairwise consistency ---------------------------------------------------
 
 TEST(PairwiseConsistencyTest, PropagatesEmptiness) {
-  VarRelation a(IdSet{0, 1});
-  a.rel().AddRow({1, 2});
-  VarRelation b(IdSet{1, 2});  // empty
-  std::vector<VarRelation> views{a, b};
+  std::vector<Rel> views{MakeRel(IdSet{0, 1}, {{1, 2}}),
+                         Rel(IdSet{1, 2})};  // the second is empty
   EXPECT_FALSE(EnforcePairwiseConsistency(&views));
 }
 
 TEST(PairwiseConsistencyTest, ReachesFixpointAcrossChain) {
   // r(0,1) = {(1,2),(5,6)}, r(1,2) = {(2,3)}, r(2,3) = {(3,4)}:
   // only the 1-2-3-4 chain survives.
-  VarRelation a(IdSet{0, 1});
-  a.rel().AddRow({1, 2});
-  a.rel().AddRow({5, 6});
-  VarRelation b(IdSet{1, 2});
-  b.rel().AddRow({2, 3});
-  VarRelation c(IdSet{2, 3});
-  c.rel().AddRow({3, 4});
-  std::vector<VarRelation> views{a, b, c};
+  std::vector<Rel> views{MakeRel(IdSet{0, 1}, {{1, 2}, {5, 6}}),
+                         MakeRel(IdSet{1, 2}, {{2, 3}}),
+                         MakeRel(IdSet{2, 3}, {{3, 4}})};
   ASSERT_TRUE(EnforcePairwiseConsistency(&views));
   EXPECT_EQ(views[0].size(), 1u);
-  EXPECT_TRUE(views[0].rel().ContainsRow(std::vector<Value>{1, 2}));
+  EXPECT_TRUE(views[0].table()->ContainsRow(std::vector<Value>{1, 2}));
 }
 
 }  // namespace

@@ -114,17 +114,19 @@ TEST(SnapshotRoundTripTest, RandomInstancesAgreeUnderEveryStrategy) {
 
 TEST(SnapshotWriterTest, ByteStableAcrossInsertionOrders) {
   const std::string dir = MakeScratchDir();
-  Database forward;
-  Database shuffled;
   // Same logical database, different relation and row insertion orders
-  // (plus a duplicate row the writer must collapse).
-  forward.AddTuple("r", {1, 2});
-  forward.AddTuple("r", {3, 4});
-  forward.AddTuple("s", {7});
-  shuffled.AddTuple("s", {7});
-  shuffled.AddTuple("r", {3, 4});
-  shuffled.AddTuple("r", {1, 2});
-  shuffled.AddTuple("r", {3, 4});
+  // (plus a duplicate row the builder must collapse).
+  DatabaseBuilder forward_builder;
+  DatabaseBuilder shuffled_builder;
+  forward_builder.AddTuple("r", {1, 2});
+  forward_builder.AddTuple("r", {3, 4});
+  forward_builder.AddTuple("s", {7});
+  shuffled_builder.AddTuple("s", {7});
+  shuffled_builder.AddTuple("r", {3, 4});
+  shuffled_builder.AddTuple("r", {1, 2});
+  shuffled_builder.AddTuple("r", {3, 4});
+  const Database forward = std::move(forward_builder).Build();
+  const Database shuffled = std::move(shuffled_builder).Build();
 
   Status error;
   ASSERT_TRUE(
@@ -143,11 +145,12 @@ TEST(SnapshotWriterTest, V2FilesAreByteDeterministic) {
   const std::string dir = MakeScratchDir();
   Status error;
   for (int trial = 0; trial < 2; ++trial) {
-    Database db;
+    DatabaseBuilder builder;
     for (int i = 0; i < 64; ++i) {
-      db.AddTuple("e", {(i * 7) % 16, i});
-      db.AddTuple("f", {i % 4});
+      builder.AddTuple("e", {(i * 7) % 16, i});
+      builder.AddTuple("f", {i % 4});
     }
+    const Database db = std::move(builder).Build();
     ASSERT_TRUE(WriteSnapshot(db, nullptr,
                               dir + "/t" + std::to_string(trial) + ".sharpcq",
                               &error)
@@ -159,10 +162,11 @@ TEST(SnapshotWriterTest, V2FilesAreByteDeterministic) {
 }
 
 TEST(SnapshotWriterTest, SortedRelationNamesIsSortedAndComplete) {
-  Database db;
-  db.AddTuple("zeta", {1});
-  db.AddTuple("alpha", {2});
-  db.AddTuple("mid", {3});
+  DatabaseBuilder builder;
+  builder.AddTuple("zeta", {1});
+  builder.AddTuple("alpha", {2});
+  builder.AddTuple("mid", {3});
+  const Database db = std::move(builder).Build();
   EXPECT_EQ(db.SortedRelationNames(),
             (std::vector<std::string>{"alpha", "mid", "zeta"}));
 }
@@ -172,10 +176,12 @@ TEST(SnapshotWriterTest, SortedRelationNamesIsSortedAndComplete) {
 TEST(SnapshotRoundTripTest, ValueDictSurvives) {
   const std::string dir = MakeScratchDir();
   const std::string path = dir + "/dict.sharpcq";
-  Database db;
+  DatabaseBuilder builder;
   ValueDict dict;
-  db.AddTuple("works_on", {dict.Intern("alice"), dict.Intern("project_x")});
-  db.AddTuple("works_on", {dict.Intern("bob"), dict.Intern("project_x")});
+  builder.AddTuple("works_on",
+                   {dict.Intern("alice"), dict.Intern("project_x")});
+  builder.AddTuple("works_on", {dict.Intern("bob"), dict.Intern("project_x")});
+  const Database db = std::move(builder).Build();
 
   Status error;
   ASSERT_TRUE(WriteSnapshot(db, &dict, path, &error).has_value()) << error;
@@ -197,17 +203,17 @@ TEST(SnapshotRoundTripTest, ValueDictSurvives) {
 TEST(SnapshotMappedTest, TablesAliasTheMappingAndAtomBridgeStaysZeroCopy) {
   const std::string dir = MakeScratchDir();
   const std::string path = dir + "/zc.sharpcq";
-  Database db;
+  DatabaseBuilder builder;
   for (int i = 0; i < 16; ++i) {
-    db.AddTuple("e", {i, (i + 1) % 16});
+    builder.AddTuple("e", {i, (i + 1) % 16});
   }
+  const Database db = std::move(builder).Build();
   Status error;
   ASSERT_TRUE(WriteSnapshot(db, nullptr, path, &error).has_value()) << error;
   auto loaded = LoadSnapshot(path, SnapshotLoadMode::kMapped, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
 
-  std::shared_ptr<const Table> backing = loaded->db.ColumnarBacking("e");
-  ASSERT_NE(backing, nullptr);
+  std::shared_ptr<const Table> backing = loaded->db.table("e");
   EXPECT_TRUE(backing->is_external());
   EXPECT_EQ(backing->rows(), 16u);
 
@@ -229,9 +235,10 @@ TEST(SnapshotMappedTest, TablesAliasTheMappingAndAtomBridgeStaysZeroCopy) {
 TEST(SnapshotMappedTest, MappingOutlivesTheLoadedDatabase) {
   const std::string dir = MakeScratchDir();
   const std::string path = dir + "/lifetime.sharpcq";
-  Database db;
-  db.AddTuple("e", {1, 2});
-  db.AddTuple("e", {2, 3});
+  DatabaseBuilder builder;
+  builder.AddTuple("e", {1, 2});
+  builder.AddTuple("e", {2, 3});
+  const Database db = std::move(builder).Build();
   Status error;
   ASSERT_TRUE(WriteSnapshot(db, nullptr, path, &error).has_value()) << error;
 
@@ -240,7 +247,7 @@ TEST(SnapshotMappedTest, MappingOutlivesTheLoadedDatabase) {
   {
     auto loaded = LoadSnapshot(path, SnapshotLoadMode::kMapped, &error);
     ASSERT_TRUE(loaded.has_value()) << error;
-    survivor = loaded->db.ColumnarBacking("e");
+    survivor = loaded->db.table("e");
   }
   // The arena shared_ptr keeps the mapping alive: reads stay valid (ASan
   // would flag a use-after-munmap here).
@@ -249,45 +256,68 @@ TEST(SnapshotMappedTest, MappingOutlivesTheLoadedDatabase) {
   EXPECT_EQ(survivor->at(0, 0) + survivor->at(1, 0), 3);
 }
 
-// --- lazy materialization --------------------------------------------------
+// --- appending to a mapped relation ----------------------------------------
 
-TEST(ColumnarDatabaseTest, LazyMaterializationMatchesBacking) {
+TEST(ColumnarDatabaseTest, CsvAppendToMappedRelationBuildsTheUnion) {
+  // The daemon's ingest path: copy a snapshot-backed Database, append CSV
+  // rows to one of its relations, and publish the copy.
   const std::string dir = MakeScratchDir();
-  const std::string path = dir + "/mat.sharpcq";
-  Database db;
-  db.AddTuple("r", {5, 6});
-  db.AddTuple("r", {1, 2});
+  const std::string path = dir + "/append.sharpcq";
+  DatabaseBuilder builder;
+  builder.AddTuple("r", {5, 6});
+  builder.AddTuple("r", {1, 2});
+  builder.AddTuple("s", {7});
   Status error;
-  ASSERT_TRUE(WriteSnapshot(db, nullptr, path, &error).has_value()) << error;
+  ASSERT_TRUE(WriteSnapshot(std::move(builder).Build(), nullptr, path, &error)
+                  .has_value())
+      << error;
   auto loaded = LoadSnapshot(path, SnapshotLoadMode::kMapped, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
+  const std::shared_ptr<const Table> mapped = loaded->db.table("r");
 
-  // relation() materializes a row-major copy of the mapped columns.
-  const Relation& rel = loaded->db.relation("r");
-  EXPECT_EQ(rel.size(), 2u);
-  EXPECT_TRUE(rel.ContainsRow(std::vector<Value>{5, 6}));
-  EXPECT_EQ(loaded->db.TotalTuples(), 2u);  // not double counted
+  Database next = loaded->db;
+  std::istringstream csv("9,9\n1,2\n");  // one new row, one already stored
+  CsvResult appended = LoadRelationCsv(csv, "r", &next);
+  ASSERT_TRUE(appended.ok()) << appended.message;
+  EXPECT_EQ(appended.tuples, 2u);
 
-  // Mutable access drops the columnar backing so the two forms cannot
-  // diverge.
-  loaded->db.AddTuple("r", {9, 9});
-  EXPECT_EQ(loaded->db.ColumnarBacking("r"), nullptr);
-  EXPECT_EQ(loaded->db.relation("r").size(), 3u);
+  // The copy holds old ∪ new as one fresh table ...
+  const Table& r = *next.table("r");
+  EXPECT_EQ(r.rows(), 3u);
+  for (const std::vector<Value>& row :
+       {std::vector<Value>{5, 6}, {1, 2}, {9, 9}}) {
+    EXPECT_TRUE(r.ContainsRow(row));
+  }
+  EXPECT_EQ(next.table("s"), loaded->db.table("s"));  // untouched: shared
+  EXPECT_EQ(next.TotalTuples(), 4u);
+
+  // ... and the Database it was copied from still serves the mapped rows.
+  EXPECT_EQ(loaded->db.table("r"), mapped);
+  EXPECT_TRUE(mapped->is_external());
+  EXPECT_EQ(mapped->rows(), 2u);
+  EXPECT_FALSE(mapped->ContainsRow(std::vector<Value>{9, 9}));
   EXPECT_EQ(loaded->db.TotalTuples(), 3u);
+
+  // A failed append leaves the database as it was.
+  std::istringstream bad("1,2\n3\n");
+  EXPECT_EQ(LoadRelationCsv(bad, "r", &next).status, CsvStatus::kParseError);
+  EXPECT_EQ(next.table("r")->rows(), 3u);
 }
 
-TEST(ColumnarDatabaseTest, ConcurrentCountsAndMaterializationAreSafe) {
-  // A mapped database under concurrent batch counting plus direct
-  // relation() materialization from several threads: the sanitizer CI jobs
-  // run this suite, so a race in the lazy-materialization path would trip
-  // TSan here.
+// --- concurrent counts --------------------------------------------------
+
+TEST(ColumnarDatabaseTest, ConcurrentCountsOverOneDatabaseAreSafe) {
+  // A mapped database under concurrent batch counting plus direct table
+  // reads from several threads: the sanitizer CI jobs run this suite, so a
+  // race on the shared tables or their index caches would trip TSan here.
   const std::string dir = MakeScratchDir();
   const std::string path = dir + "/conc.sharpcq";
-  Database source;
+  DatabaseBuilder builder;
   for (int i = 0; i < 64; ++i) {
-    source.AddTuple("e", {i % 8, (i * 3) % 8});
-    source.AddTuple("f", {(i * 5) % 8, i % 8});
+    builder.AddTuple("e", {i % 8, (i * 3) % 8});
+    builder.AddTuple("f", {(i * 5) % 8, i % 8});
   }
+  const Database source = std::move(builder).Build();
   Status error;
   ASSERT_TRUE(WriteSnapshot(source, nullptr, path, &error).has_value())
       << error;
@@ -306,8 +336,9 @@ TEST(ColumnarDatabaseTest, ConcurrentCountsAndMaterializationAreSafe) {
   readers.reserve(4);
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&loaded, t] {
-      const Relation& rel = loaded->db.relation(t % 2 == 0 ? "e" : "f");
-      EXPECT_GT(rel.size(), 0u);
+      const Table& table = *loaded->db.table(t % 2 == 0 ? "e" : "f");
+      EXPECT_GT(table.rows(), 0u);
+      EXPECT_GT(table.IndexOn({0})->num_groups(), 0u);
     });
   }
   std::vector<CountResult> results = engine.CountBatch(jobs);
@@ -324,8 +355,9 @@ class SnapshotCorruptionTest : public ::testing::Test {
   void SetUp() override {
     dir_ = MakeScratchDir();
     path_ = dir_ + "/victim.sharpcq";
-    Database db;
-    for (int i = 0; i < 32; ++i) db.AddTuple("e", {i, i * 7 % 13});
+    DatabaseBuilder builder;
+    for (int i = 0; i < 32; ++i) builder.AddTuple("e", {i, i * 7 % 13});
+    const Database db = std::move(builder).Build();
     Status error;
     ASSERT_TRUE(WriteSnapshot(db, nullptr, path_, &error).has_value())
         << error;
@@ -446,8 +478,9 @@ TEST(SnapshotV1CompatTest, V1FilesLoadWithLazyStatsInBothModes) {
   // them lazily on first use.
   const std::string dir = MakeScratchDir();
   const std::string path = dir + "/v1.sharpcq";
-  Database db;
-  for (int i = 0; i < 24; ++i) db.AddTuple("e", {i % 6, i});
+  DatabaseBuilder builder;
+  for (int i = 0; i < 24; ++i) builder.AddTuple("e", {i % 6, i});
+  const Database db = std::move(builder).Build();
   SnapshotWriter writer;
   writer.AddDatabase(db);
   writer.set_format_version(kSnapshotVersionV1);
@@ -469,8 +502,7 @@ TEST(SnapshotV1CompatTest, V1FilesLoadWithLazyStatsInBothModes) {
        {SnapshotLoadMode::kOwned, SnapshotLoadMode::kMapped}) {
     auto loaded = LoadSnapshot(path, mode, &error);
     ASSERT_TRUE(loaded.has_value()) << error;
-    auto backing = loaded->db.ColumnarBacking("e");
-    ASSERT_NE(backing, nullptr);
+    const std::shared_ptr<const Table>& backing = loaded->db.table("e");
     // Nothing installed at load time; Stats() computes on demand and the
     // result matches a v2 writer's persisted section.
     EXPECT_EQ(backing->StatsIfPresent(), nullptr);
@@ -488,10 +520,11 @@ TEST(SnapshotV1CompatTest, V1AndV2CarryIdenticalDataSections) {
   // data of a v2 file are the same bytes a v1 writer emits, just shifted
   // by the stats extent — so both versions load identical databases.
   const std::string dir = MakeScratchDir();
-  Database db;
+  DatabaseBuilder builder;
   ValueDict dict;
-  db.AddTuple("works", {dict.Intern("ann"), dict.Intern("rome")});
-  db.AddTuple("works", {dict.Intern("bo"), dict.Intern("oslo")});
+  builder.AddTuple("works", {dict.Intern("ann"), dict.Intern("rome")});
+  builder.AddTuple("works", {dict.Intern("bo"), dict.Intern("oslo")});
+  const Database db = std::move(builder).Build();
   Status error;
   SnapshotWriter v1;
   v1.AddDatabase(db);
@@ -557,9 +590,10 @@ TEST(CatalogTest, GenerationSwapKeepsOldEntryServableAndPlanCacheWarm) {
   Catalog catalog(root);
   Status error;
 
-  Database gen1;
-  gen1.AddTuple("e", {1, 2});
-  gen1.AddTuple("e", {2, 1});
+  DatabaseBuilder gen1_builder;
+  gen1_builder.AddTuple("e", {1, 2});
+  gen1_builder.AddTuple("e", {2, 1});
+  const Database gen1 = std::move(gen1_builder).Build();
   ASSERT_TRUE(catalog.Ingest("g", gen1, nullptr, &error).has_value()) << error;
 
   auto entry1 = catalog.Open("g", &error);
@@ -574,11 +608,12 @@ TEST(CatalogTest, GenerationSwapKeepsOldEntryServableAndPlanCacheWarm) {
 
   // Ingest generation 2 while entry1 is still held (ingest-while-serving).
   // Doubling the relation moves its row-count size class (2 rows -> 4).
-  Database gen2;
-  gen2.AddTuple("e", {1, 2});
-  gen2.AddTuple("e", {2, 1});
-  gen2.AddTuple("e", {3, 4});
-  gen2.AddTuple("e", {4, 3});
+  DatabaseBuilder gen2_builder;
+  gen2_builder.AddTuple("e", {1, 2});
+  gen2_builder.AddTuple("e", {2, 1});
+  gen2_builder.AddTuple("e", {3, 4});
+  gen2_builder.AddTuple("e", {4, 3});
+  const Database gen2 = std::move(gen2_builder).Build();
   ASSERT_TRUE(catalog.Ingest("g", gen2, nullptr, &error).has_value()) << error;
 
   auto entry2 = catalog.Open("g", &error);
@@ -628,8 +663,9 @@ TEST(CatalogTest, MalformedManifestFailsIngestInsteadOfResetting) {
   const std::string root = MakeScratchDir() + "/catalog";
   Catalog catalog(root);
   Status error;
-  Database db;
-  db.AddTuple("e", {1, 2});
+  DatabaseBuilder builder;
+  builder.AddTuple("e", {1, 2});
+  const Database db = std::move(builder).Build();
   ASSERT_TRUE(catalog.Ingest("g", db, nullptr, &error).has_value()) << error;
   ASSERT_TRUE(catalog.Ingest("g", db, nullptr, &error).has_value()) << error;
   const auto gen1_bytes = ReadFileBytes(root + "/g/snapshot-000001.sharpcq");
@@ -648,8 +684,9 @@ TEST(CatalogTest, RejectsEscapingNamesAndMissingDatabases) {
   const std::string root = MakeScratchDir() + "/catalog";
   Catalog catalog(root);
   Status error;
-  Database db;
-  db.AddTuple("e", {1});
+  DatabaseBuilder builder;
+  builder.AddTuple("e", {1});
+  const Database db = std::move(builder).Build();
   EXPECT_FALSE(catalog.Ingest("../evil", db, nullptr, &error).has_value());
   EXPECT_FALSE(catalog.Ingest("a/b", db, nullptr, &error).has_value());
   EXPECT_EQ(catalog.Open("absent", &error), nullptr);

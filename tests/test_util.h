@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "algebra/rel.h"
+#include "data/database.h"
+#include "engine/plan.h"
 #include "query/conjunctive_query.h"
 #include "util/id_set.h"
 
@@ -28,6 +31,43 @@ inline std::vector<IdSet> SortedEdges(std::vector<IdSet> edges) {
 // True if `edges` contains `edge`.
 inline bool HasEdge(const std::vector<IdSet>& edges, const IdSet& edge) {
   return std::find(edges.begin(), edges.end(), edge) != edges.end();
+}
+
+// A kernel relation over `vars` holding `rows` (deduplicated by Build).
+inline Rel MakeRel(IdSet vars, const std::vector<std::vector<Value>>& rows) {
+  TableBuilder builder(static_cast<int>(vars.size()));
+  for (const auto& row : rows) builder.AddRow(row);
+  return Rel(std::move(vars), std::move(builder).Build());
+}
+
+// A builder holding every tuple of `db`, for tests that extend a database.
+inline DatabaseBuilder BuilderFrom(const Database& db) {
+  DatabaseBuilder builder;
+  for (const std::string& name : db.SortedRelationNames()) {
+    const Table& table = *db.table(name);
+    builder.DeclareRelation(name, table.arity());
+    std::vector<Value> row(static_cast<std::size_t>(table.arity()));
+    for (std::size_t i = 0; i < table.rows(); ++i) {
+      for (int c = 0; c < table.arity(); ++c) {
+        row[static_cast<std::size_t>(c)] = table.at(i, c);
+      }
+      builder.AddTuple(name, row);
+    }
+  }
+  return builder;
+}
+
+// The structural-first planner policy: #-hypertree widths 1..max_width,
+// then (with `hybrid`) #b widths 2..max_width, then backtracking; acyclic
+// PS13 off and no diagnostic profile. Tests that pin the method strings of
+// that search order count with it.
+inline PlannerOptions StructuralFirstOptions(bool hybrid, int max_width = 3) {
+  PlannerOptions options;
+  options.max_width = max_width;
+  options.enable_acyclic_ps13 = false;
+  options.enable_hybrid = hybrid;
+  options.full_profile = false;
+  return options;
 }
 
 }  // namespace sharpcq

@@ -16,8 +16,8 @@ TEST(CsvTest, LoadsNumericTuples) {
   CsvResult loaded = LoadRelationCsv(in, "r", &db);
   ASSERT_TRUE(loaded.ok()) << loaded.message;
   EXPECT_EQ(loaded.tuples, 3u);
-  EXPECT_EQ(db.relation("r").size(), 3u);
-  EXPECT_TRUE(db.relation("r").ContainsRow(std::vector<Value>{5, 6}));
+  EXPECT_EQ(db.table("r")->rows(), 3u);
+  EXPECT_TRUE(db.table("r")->ContainsRow(std::vector<Value>{5, 6}));
 }
 
 TEST(CsvTest, SymbolicFieldsInterned) {
@@ -28,8 +28,8 @@ TEST(CsvTest, SymbolicFieldsInterned) {
   ASSERT_TRUE(loaded.ok()) << loaded.message;
   EXPECT_EQ(loaded.tuples, 2u);
   ASSERT_TRUE(dict.Find("alice").has_value());
-  EXPECT_TRUE(db.relation("works_on")
-                  .ContainsRow(std::vector<Value>{*dict.Find("alice"),
+  EXPECT_TRUE(db.table("works_on")
+                  ->ContainsRow(std::vector<Value>{*dict.Find("alice"),
                                                   *dict.Find("project_x")}));
 }
 
@@ -114,7 +114,8 @@ TEST(CsvTest, RoundTripsThroughWrite) {
   std::istringstream back(out.str());
   Database db2;
   ASSERT_TRUE(LoadRelationCsv(back, "r", &db2).ok());
-  EXPECT_TRUE(SameRowSet(db.relation("r"), db2.relation("r")));
+  EXPECT_TRUE(SameRel(Rel(IdSet{0, 1}, db.table("r")),
+                      Rel(IdSet{0, 1}, db2.table("r"))));
 }
 
 TEST(ExplainTest, HypertreeRendering) {

@@ -8,7 +8,6 @@
 #include "core/materialize.h"
 #include "core/sharp_counting.h"
 #include "count/enumeration.h"
-#include "data/var_relation.h"
 #include "gen/paper_queries.h"
 #include "query/atom_relation.h"
 #include "tests/test_util.h"
@@ -21,21 +20,15 @@ namespace {
 // subproblem" in the sense of Section 3.
 void StoreSubqueryView(const ConjunctiveQuery& q, Database* db,
                        const std::string& name, const IdSet& vars) {
-  VarRelation acc = VarRelation::Unit();
+  Rel acc = Rel::Unit();
   bool first = true;
   for (const Atom& a : q.atoms()) {
     if (!a.Vars().Intersects(vars)) continue;
-    VarRelation rel = AtomToVarRelation(a, *db);
-    acc = first ? std::move(rel) : Join(acc, rel);
+    acc = Join(acc, AtomToRel(a, *db));
     first = false;
   }
   ASSERT_FALSE(first);
-  VarRelation projected = Project(acc, Intersect(acc.vars(), vars));
-  Relation& stored = db->DeclareRelation(
-      name, static_cast<int>(projected.vars().size()));
-  for (std::size_t i = 0; i < projected.size(); ++i) {
-    stored.AddRow(projected.rel().Row(i));
-  }
+  db->SetTable(name, Project(acc, Intersect(acc.vars(), vars)).table());
 }
 
 // The V0 view set of Example 3.5 / Figure 7(d), materialized as named
@@ -72,7 +65,7 @@ TEST(ViewsFrameworkTest, OverRestrictiveViewDetected) {
   // Empty out one view: clearly more restrictive than the query (unless
   // the query itself has no answers on this database).
   if (CountByBacktracking(f.q, f.db) == 0) GTEST_SKIP();
-  f.db.mutable_relation("v_bcd") = Relation(3);
+  f.db.SetTable("v_bcd", Table::Empty(3));
   std::string why;
   EXPECT_FALSE(IsLegalViewDatabase(f.q, f.views, f.db, &why));
   EXPECT_FALSE(why.empty());
@@ -108,7 +101,7 @@ TEST(ViewsFrameworkTest, MissingViewMakesQueryUncovered) {
 
 TEST(ViewsFrameworkTest, MaterializeNamedViewReadsStoredRelation) {
   V0Fixture f(7);
-  VarRelation rel = MaterializeView(f.views, 1, f.q, f.db);  // v_be
+  Rel rel = MaterializeViewRel(f.views, 1, f.q, f.db);  // v_be
   EXPECT_EQ(rel.vars(), VarsOf(f.q, {"B", "E"}));
   // wi has one info per worker, filtered by the semijoin structure of the
   // subquery join; at minimum the view is non-trivial.
@@ -121,7 +114,7 @@ TEST(ViewsFrameworkTest, NamedViewArityMismatchAborts) {
       {
         ViewSet bad = ViewsFromNamedRelations(
             {{"v_be", VarsOf(f.q, {"B", "E", "I"})}});
-        MaterializeView(bad, 0, f.q, f.db);
+        MaterializeViewRel(bad, 0, f.q, f.db);
       },
       "arity mismatch");
 }
