@@ -115,7 +115,8 @@ TEST(IntegrationTest, HybridFacadeAgreesEverywhere) {
   }
 }
 
-TEST(IntegrationTest, HybridPolicyUsesHybridOnQbar) {
+// Structural-first with hybrid on: the CountAnswersWithHybrid facade's policy.
+TEST(IntegrationTest, HybridFacadeUsesHybridOnQbar) {
   ConjunctiveQuery q = MakeQbarh2(3);
   Database db = MakeQbarh2Database(3, 4);
   // Structural fails at width 2; hybrid succeeds.

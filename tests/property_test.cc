@@ -55,7 +55,9 @@ TEST_P(CountingAgreementTest, FrontierMaterializationAgrees) {
   EXPECT_EQ(CountByFrontierMaterialization(query_, db_), truth_);
 }
 
-TEST_P(CountingAgreementTest, StructuralFirstPolicyAgrees) {
+// The structural-first policy (no acyclic PS13, no full profile) that the
+// CountAnswers facade used to build.
+TEST_P(CountingAgreementTest, FacadeAgrees) {
   CountResult result = CountingEngine::Shared().Count(
       query_, db_, StructuralFirstOptions(/*hybrid=*/false));
   EXPECT_EQ(result.count, truth_) << "method: " << result.method;

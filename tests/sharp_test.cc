@@ -189,7 +189,8 @@ TEST(SharpCountTest, EmptyDatabaseRelationGivesZero) {
   EXPECT_EQ(result->count, CountInt{0});
 }
 
-TEST(SharpCountTest, StructuralFirstPolicyFallsBackGracefully) {
+// Structural-first, as the CountAnswers facade counted.
+TEST(SharpCountTest, CountAnswersFacadeFallsBackGracefully) {
   // Qh2 with h=3 has #-htw 4 (covering the frontier {X0..X3} takes the r
   // atom plus three w_i atoms); with max_width 2 the engine must fall back
   // and still return the right count.

@@ -306,10 +306,11 @@ TEST(ColumnarDatabaseTest, CsvAppendToMappedRelationBuildsTheUnion) {
 
 // --- concurrent counts --------------------------------------------------
 
-TEST(ColumnarDatabaseTest, ConcurrentCountsOverOneDatabaseAreSafe) {
+TEST(ColumnarDatabaseTest, ConcurrentCountsAndMaterializationAreSafe) {
   // A mapped database under concurrent batch counting plus direct table
-  // reads from several threads: the sanitizer CI jobs run this suite, so a
-  // race on the shared tables or their index caches would trip TSan here.
+  // reads (which materialize cached indexes) from several threads: the
+  // sanitizer CI jobs run this suite, so a race on the shared tables or
+  // their index caches would trip TSan here.
   const std::string dir = MakeScratchDir();
   const std::string path = dir + "/conc.sharpcq";
   DatabaseBuilder builder;
