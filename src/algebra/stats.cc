@@ -78,14 +78,12 @@ std::string DataProfile::Fingerprint() const {
     if (!out.empty()) out.push_back(';');
     out += rel.name;
     out.push_back(':');
-    out += std::to_string(SizeClass(rel.rows));
-    if (rel.stats != nullptr) {
-      for (const ColumnStats& col : rel.stats->columns) {
-        out.push_back('.');
-        out += std::to_string(SizeClass(col.distinct));
-        out.push_back('g');
-        out += std::to_string(SizeClass(col.max_group));
-      }
+    out += std::to_string(SizeClass(rel.stats->rows));
+    for (const ColumnStats& col : rel.stats->columns) {
+      out.push_back('.');
+      out += std::to_string(SizeClass(col.distinct));
+      out.push_back('g');
+      out += std::to_string(SizeClass(col.max_group));
     }
   }
   return out;
@@ -101,12 +99,7 @@ DataProfile BuildDataProfile(const Database& db,
   profile.relations.reserve(sorted.size());
   for (const std::string& name : sorted) {
     if (!db.HasRelation(name)) continue;
-    RelationProfile rel;
-    rel.name = name;
-    const std::shared_ptr<const Table>& table = db.table(name);
-    rel.rows = table->rows();
-    rel.stats = table->Stats();
-    profile.relations.push_back(std::move(rel));
+    profile.relations.push_back({name, db.table(name)->Stats()});
   }
   return profile;
 }

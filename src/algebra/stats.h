@@ -84,11 +84,10 @@ std::uint64_t EstimatedDistinctCount(const TableStats& stats,
 std::shared_ptr<const TableStats> PermuteStats(const TableStats& in,
                                                std::span<const int> perm);
 
-// Per-relation slice of a DataProfile. `stats` is null when only the row
-// count is known (BuildDataProfile always fills it).
+// Per-relation slice of a DataProfile: the stored table's statistics
+// (never null; shared with the table's cache).
 struct RelationProfile {
   std::string name;
-  std::uint64_t rows = 0;
   std::shared_ptr<const TableStats> stats;
 };
 
@@ -110,10 +109,10 @@ struct DataProfile {
   std::string Fingerprint() const;
 };
 
-// Profiles the named relations of `db` (absent names are skipped). Columnar
-// relations contribute full TableStats, computed lazily and cached on their
-// Table — free when the table came from a v2 snapshot with persisted stats.
-// Row-major relations contribute their row count only.
+// Profiles the named relations of `db` (absent names are skipped). Each
+// relation contributes its table's full TableStats, computed lazily and
+// cached on the Table — free when the table came from a v2 snapshot with
+// persisted stats.
 DataProfile BuildDataProfile(const Database& db,
                              std::span<const std::string> names);
 

@@ -653,6 +653,16 @@ class TableBuilder {
     ++rows_;
   }
 
+  // Appends every row of `table` (same arity), column by column.
+  void AddTable(const Table& table) {
+    SHARPCQ_CHECK(table.arity() == arity());
+    for (std::size_t c = 0; c < cols_.size(); ++c) {
+      std::span<const Value> col = table.Column(static_cast<int>(c));
+      cols_[c].insert(cols_[c].end(), col.begin(), col.end());
+    }
+    rows_ += table.rows();
+  }
+
   // Publishes the accumulated rows as an immutable, deduplicated table.
   // `known_distinct` skips the dedup pass when the caller can prove the
   // rows are already a set (e.g. a join of two sets).

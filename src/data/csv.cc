@@ -112,16 +112,6 @@ CsvResult OpenCsvFile(const std::string& path, std::ifstream* in) {
   return ok;
 }
 
-void AppendRows(const Table& table, TableBuilder* builder) {
-  std::vector<Value> row(static_cast<std::size_t>(table.arity()));
-  for (std::size_t i = 0; i < table.rows(); ++i) {
-    for (int c = 0; c < table.arity(); ++c) {
-      row[static_cast<std::size_t>(c)] = table.at(i, c);
-    }
-    builder->AddRow(row);
-  }
-}
-
 }  // namespace
 
 CsvResult LoadRelationCsv(std::istream& in, const std::string& relation,
@@ -138,7 +128,7 @@ CsvResult LoadRelationCsv(std::istream& in, const std::string& relation,
           builder.emplace(static_cast<int>(row.size()));
           if (stored != nullptr && stored->arity() == builder->arity()) {
             builder->ReserveRows(stored->rows());
-            AppendRows(*stored, &*builder);
+            builder->AddTable(*stored);
           }
         }
         builder->AddRow(row);

@@ -23,14 +23,13 @@ constexpr std::uint64_t kDegreeSteerThreshold = 256;
 
 // The largest per-column group size the profile reports across the query's
 // relations — the profile's upper bound on the instance degree h that
-// drives PS13's cost. Relations without stats (absent, unknown) report
-// 0 and never steer.
+// drives PS13's cost. Absent relations report 0 and never steer.
 std::uint64_t MaxQueryDegree(const ConjunctiveQuery& q,
                              const DataProfile& profile) {
   std::uint64_t degree = 0;
   for (const Atom& atom : q.atoms()) {
     const RelationProfile* rel = profile.Find(atom.relation);
-    if (rel == nullptr || rel->stats == nullptr) continue;
+    if (rel == nullptr) continue;
     for (const ColumnStats& col : rel->stats->columns) {
       degree = std::max(degree, col.max_group);
     }
@@ -135,21 +134,20 @@ struct RelEstimate {
 
 // Rows of the atom's relation that pass its constant positions, and each
 // variable's distinct count (EstimatedDistinctCount on its column, the
-// smallest one for a repeated variable). Relations without column stats
-// report every column as a key; absent relations have no rows.
+// smallest one for a repeated variable). Absent relations have no rows.
 RelEstimate EstimateAtom(const Atom& atom, const DataProfile& profile) {
   RelEstimate out;
   const RelationProfile* rel = profile.Find(atom.relation);
   if (rel == nullptr) return out;
-  const TableStats* stats = rel->stats.get();
+  const TableStats& stats = *rel->stats;
   auto column_distinct = [&](std::size_t c) -> double {
-    if (stats == nullptr || c >= stats->columns.size()) {
-      return static_cast<double>(rel->rows);
-    }
+    // An atom whose arity disagrees with the relation is refused by the
+    // atom bridge; until then its extra columns count as keys.
+    if (c >= stats.columns.size()) return static_cast<double>(stats.rows);
     const int col[] = {static_cast<int>(c)};
-    return static_cast<double>(EstimatedDistinctCount(*stats, col));
+    return static_cast<double>(EstimatedDistinctCount(stats, col));
   };
-  out.rows = static_cast<double>(rel->rows);
+  out.rows = static_cast<double>(stats.rows);
   for (std::size_t c = 0; c < atom.terms.size(); ++c) {
     const Term& t = atom.terms[c];
     if (!t.is_var()) {

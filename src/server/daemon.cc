@@ -670,7 +670,7 @@ Response Daemon::HandleInspect(const Request& request) {
     response.body += rel.name + " " + std::to_string(rel.arity) + " " +
                      std::to_string(rel.rows);
     if (const RelationProfile* profile = entry->profile.Find(rel.name);
-        profile != nullptr && profile->stats != nullptr) {
+        profile != nullptr) {
       for (std::size_t c = 0; c < profile->stats->columns.size(); ++c) {
         const ColumnStats& stats = profile->stats->columns[c];
         response.body += " col" + std::to_string(c) + "=" +

@@ -287,15 +287,16 @@ std::vector<DiffCase> MakeDiffCases(std::uint64_t first_seed,
       // Heavy-tail the data: pile extra tuples onto one hot value per
       // relation so per-column max_group dwarfs the average (the regime the
       // degree-steer threshold and worklist priority react to).
-      DatabaseBuilder builder = BuilderFrom(c.db);
       for (const Atom& atom : c.query.atoms()) {
+        TableBuilder builder(atom.arity());
+        builder.AddTable(*c.db.table(atom.relation));
         for (int i = 0; i < 12; ++i) {
           std::vector<Value> row(static_cast<std::size_t>(atom.arity()), 0);
           row.back() = i % 6;
-          builder.AddTuple(atom.relation, row);
+          builder.AddRow(row);
         }
+        c.db.SetTable(atom.relation, std::move(builder).Build());
       }
-      c.db = std::move(builder).Build();
     }
     c.seed = seed;
     cases.push_back(std::move(c));

@@ -115,28 +115,51 @@ TEST(SnapshotRoundTripTest, RandomInstancesAgreeUnderEveryStrategy) {
 TEST(SnapshotWriterTest, ByteStableAcrossInsertionOrders) {
   const std::string dir = MakeScratchDir();
   // Same logical database, different relation and row insertion orders
-  // (plus a duplicate row the builder must collapse).
+  // (plus a duplicate row the writer must collapse). A Database holds
+  // sets, so the duplicates reach the writer through its own row inputs:
+  // AddRow, CSV ingest, and rows appended on top of AddDatabase.
   DatabaseBuilder forward_builder;
-  DatabaseBuilder shuffled_builder;
   forward_builder.AddTuple("r", {1, 2});
   forward_builder.AddTuple("r", {3, 4});
   forward_builder.AddTuple("s", {7});
-  shuffled_builder.AddTuple("s", {7});
-  shuffled_builder.AddTuple("r", {3, 4});
-  shuffled_builder.AddTuple("r", {1, 2});
-  shuffled_builder.AddTuple("r", {3, 4});
   const Database forward = std::move(forward_builder).Build();
-  const Database shuffled = std::move(shuffled_builder).Build();
-
   Status error;
   ASSERT_TRUE(
       WriteSnapshot(forward, nullptr, dir + "/a.sharpcq", &error).has_value())
       << error;
-  ASSERT_TRUE(
-      WriteSnapshot(shuffled, nullptr, dir + "/b.sharpcq", &error).has_value())
+
+  const Value r12[] = {1, 2};
+  const Value r34[] = {3, 4};
+  const Value s7[] = {7};
+  SnapshotWriter by_rows;
+  by_rows.AddRow("s", s7);
+  by_rows.AddRow("r", r34);
+  by_rows.AddRow("r", r12);
+  by_rows.AddRow("r", r34);
+  ASSERT_TRUE(by_rows.Finish(dir + "/b.sharpcq", nullptr, &error).has_value())
       << error;
   EXPECT_EQ(ReadFileBytes(dir + "/a.sharpcq"),
             ReadFileBytes(dir + "/b.sharpcq"));
+
+  SnapshotWriter by_csv;
+  std::istringstream r_csv("3,4\n1,2\n3,4\n");
+  std::istringstream s_csv("7\n7\n");
+  ASSERT_TRUE(LoadRelationCsvIntoWriter(s_csv, "s", &by_csv).ok());
+  ASSERT_TRUE(LoadRelationCsvIntoWriter(r_csv, "r", &by_csv).ok());
+  ASSERT_TRUE(by_csv.Finish(dir + "/c.sharpcq", nullptr, &error).has_value())
+      << error;
+  EXPECT_EQ(ReadFileBytes(dir + "/a.sharpcq"),
+            ReadFileBytes(dir + "/c.sharpcq"));
+
+  SnapshotWriter overlapping;
+  overlapping.AddRow("r", r34);
+  overlapping.AddDatabase(forward);
+  overlapping.AddRow("s", s7);
+  ASSERT_TRUE(
+      overlapping.Finish(dir + "/d.sharpcq", nullptr, &error).has_value())
+      << error;
+  EXPECT_EQ(ReadFileBytes(dir + "/a.sharpcq"),
+            ReadFileBytes(dir + "/d.sharpcq"));
 }
 
 TEST(SnapshotWriterTest, V2FilesAreByteDeterministic) {

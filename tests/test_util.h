@@ -40,23 +40,6 @@ inline Rel MakeRel(IdSet vars, const std::vector<std::vector<Value>>& rows) {
   return Rel(std::move(vars), std::move(builder).Build());
 }
 
-// A builder holding every tuple of `db`, for tests that extend a database.
-inline DatabaseBuilder BuilderFrom(const Database& db) {
-  DatabaseBuilder builder;
-  for (const std::string& name : db.SortedRelationNames()) {
-    const Table& table = *db.table(name);
-    builder.DeclareRelation(name, table.arity());
-    std::vector<Value> row(static_cast<std::size_t>(table.arity()));
-    for (std::size_t i = 0; i < table.rows(); ++i) {
-      for (int c = 0; c < table.arity(); ++c) {
-        row[static_cast<std::size_t>(c)] = table.at(i, c);
-      }
-      builder.AddTuple(name, row);
-    }
-  }
-  return builder;
-}
-
 // The structural-first planner policy: #-hypertree widths 1..max_width,
 // then (with `hybrid`) #b widths 2..max_width, then backtracking; acyclic
 // PS13 off and no diagnostic profile. Tests that pin the method strings of
